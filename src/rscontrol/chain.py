@@ -178,11 +178,6 @@ class ChainPath:
         k = int(np.searchsorted(self.jump_times, t, side="right"))
         return self.initial_state if k == 0 else int(self.jump_states[k - 1])
 
-    def state_before(self, t: float) -> int:
-        """Left limit alpha(t-)."""
-        k = int(np.searchsorted(self.jump_times, t, side="left"))
-        return self.initial_state if k == 0 else int(self.jump_states[k - 1])
-
     def occupation_times(self, t: float, num_states: int) -> np.ndarray:
         """Lebesgue time spent in each state on [0, min(t, horizon)]."""
         out = np.zeros(num_states)

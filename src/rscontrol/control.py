@@ -214,8 +214,8 @@ class CompiledPolicy:
         if _needs_solution(spec) and sol is None:
             raise ValueError("optimal policy requires a solved coefficient triple (sol)")
 
-    def coeffs(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-regime (intercept, slope) rows at time t."""
+    def coeffs(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Per-regime (intercept, slope) rows at time t: (D,) each, or (N, D) for N times."""
         if not self.is_affine:
             raise ValueError("table policies are not affine")
         return _affine_terms(self.spec, self.model, self.sol, t)
@@ -227,22 +227,26 @@ class CompiledPolicy:
             return float(c0[i - 1] + c1[i - 1] * x)
         return float(self._table_eval(t, np.asarray([x]), np.asarray([i - 1]))[0])
 
-    def eval_vector(self, t: float, x: np.ndarray, reg0: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; ``reg0`` holds 0-based regime indices."""
+    def eval_vector(self, t, x: np.ndarray, reg0: np.ndarray) -> np.ndarray:
+        """Vectorized evaluation at time t; ``reg0`` holds 0-based regime indices.
+
+        Table policies also take one time per element of x.
+        """
         if self.is_affine:
             c0, c1 = self.coeffs(t)
             return c0[reg0] + c1[reg0] * x
         return self._table_eval(t, x, reg0)
 
-    def _table_eval(self, t: float, x: np.ndarray, reg0: np.ndarray) -> np.ndarray:
+    def _table_eval(self, t, x: np.ndarray, reg0: np.ndarray) -> np.ndarray:
         tab = self.spec.table
-        ti = int(np.searchsorted(tab.times, t, side="right")) - 1
-        ti = min(max(ti, 0), tab.times.shape[0] - 1)
+        ti = np.searchsorted(tab.times, t, side="right") - 1
+        ti = np.clip(ti, 0, tab.times.shape[0] - 1)
         out = np.empty_like(x, dtype=np.float64)
-        for j in range(self.model.num_states):
-            mask = reg0 == j
-            if np.any(mask):
-                out[mask] = np.interp(x[mask], tab.xs, tab.values[ti, :, j])
+        for row in np.unique(ti):
+            for j in range(self.model.num_states):
+                mask = (ti == row) & (reg0 == j)
+                if np.any(mask):
+                    out[mask] = np.interp(x[mask], tab.xs, tab.values[row, :, j])
         return out
 
 
@@ -255,11 +259,15 @@ def _needs_solution(spec: PolicySpec) -> bool:
 
 
 def _affine_terms(
-    spec: PolicySpec, model: MarketModel, sol: PhiPsiChiSolution | None, t: float
+    spec: PolicySpec, model: MarketModel, sol: PhiPsiChiSolution | None, t
 ) -> tuple[np.ndarray, np.ndarray]:
-    d = model.num_states
+    """(intercept, slope) rows at a float t, or one row each per time of an array t.
+
+    Arithmetic is elementwise, so a time gives the same bits alone or in an array.
+    """
+    shape = np.shape(t) + (model.num_states,)
     if spec.kind == "constant":
-        return np.full(d, spec.u0), np.zeros(d)
+        return np.full(shape, spec.u0), np.zeros(shape)
     if spec.kind == "optimal":
         phi, psi, _ = sol.interp(t)
         k = model.cell_index(t)
@@ -273,9 +281,9 @@ def _affine_terms(
             return spec.epsilon * c0, spec.epsilon * c1
         if spec.direction == "window_shift":
             t0, t1 = spec.window
-            if t0 <= t < t1:
-                return c0 + spec.epsilon, c1
-            return c0, c1
+            t = np.asarray(t)
+            inside = (t0 <= t) & (t < t1)
+            return np.where(inside[..., None], c0 + spec.epsilon, c0), c1
         raise ValueError(f"unknown perturbation direction {spec.direction!r}")
     raise ValueError(f"policy kind {spec.kind!r} has no affine form")
 

@@ -19,6 +19,7 @@ __all__ = [
     "DimensionMismatchError",
     "ZeroVolatilityError",
     "BadIntervalError",
+    "TargetMismatchError",
     "NonFiniteSolutionError",
     "DegenerateDualError",
     "ConfigError",
@@ -71,6 +72,10 @@ class ZeroVolatilityError(ValidationError):
 
 class BadIntervalError(ValidationError):
     """An interval [a, b] with a > b, or outside the model horizon."""
+
+
+class TargetMismatchError(ValidationError):
+    """A solved coefficient triple was given for a loss target other than d."""
 
 
 class NonFiniteSolutionError(RuntimeError):

@@ -66,12 +66,18 @@ class MarketModel:
         """Market price of risk table (K, D), computed fresh each call."""
         return (self.drifts - self.rates) / self.vols
 
-    def cell_index(self, t: float) -> int:
-        """Cell k with t in [t_k, t_{k+1}); the last cell also contains T."""
-        if t < -_TIME_TOL or t > self.horizon + _TIME_TOL:
-            raise TimeOutOfRangeError(f"t={t} outside [0, {self.horizon}]")
-        k = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return min(max(k, 0), self.num_cells - 1)
+    def cell_index(self, t):
+        """Cell k with t in [t_k, t_{k+1}); the last cell also contains T.
+
+        A float t gives an int, an array of times an array of cells.
+        """
+        t = np.asarray(t, dtype=np.float64)
+        bad = (t < -_TIME_TOL) | (t > self.horizon + _TIME_TOL)
+        if bad.any():
+            raise TimeOutOfRangeError(f"t={t[bad].flat[0]} outside [0, {self.horizon}]")
+        k = self.breakpoints.searchsorted(t, side="right") - 1
+        k = np.minimum(np.maximum(k, 0), self.num_cells - 1)
+        return int(k) if k.ndim == 0 else k
 
 
 def coefficients_at(model: MarketModel, t: float, i: int) -> tuple[float, float, float, float]:

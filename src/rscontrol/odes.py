@@ -68,19 +68,25 @@ class PhiPsiChiSolution:
     def num_states(self) -> int:
         return self.model.num_states
 
-    def _locate(self, t: float) -> tuple[int, float]:
+    def _locate(self, t):
         grid = self.grid
         horizon = float(grid[-1])
-        if t < -1e-12 or t > horizon + 1e-12:
-            raise TimeOutOfRangeError(f"t={t} outside [0, {horizon}]")
-        t = min(max(t, 0.0), horizon)
-        idx = int(np.searchsorted(grid, t, side="right")) - 1
-        idx = min(max(idx, 0), grid.shape[0] - 2)
+        t = np.asarray(t, dtype=np.float64)
+        bad = (t < -1e-12) | (t > horizon + 1e-12)
+        if bad.any():
+            raise TimeOutOfRangeError(f"t={t[bad].flat[0]} outside [0, {horizon}]")
+        t = np.minimum(np.maximum(t, 0.0), horizon)
+        idx = grid.searchsorted(t, side="right") - 1
+        idx = np.minimum(np.maximum(idx, 0), grid.shape[0] - 2)
         w = (t - grid[idx]) / (grid[idx + 1] - grid[idx])
-        return idx, float(w)
+        return idx, w[..., None]
 
-    def interp(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(phi, psi, chi) rows at time t, each shape (D,)."""
+    def interp(self, t):
+        """(phi, psi, chi) rows at time t: each (D,) for a float t, (N, D) for N times.
+
+        Rows are evaluated elementwise, so a time gives the same bits alone
+        or inside an array.
+        """
         idx, w = self._locate(t)
         # (1-w) y0 + w y1 recovers node values exactly at w = 0 and w = 1.
         c0, c1 = 1.0 - w, w
@@ -90,19 +96,28 @@ class PhiPsiChiSolution:
             c0 * self.chi[idx] + c1 * self.chi[idx + 1],
         )
 
-    def derivatives(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(phi_t, psi_t, chi_t) rows at t from the defining equations."""
+    def derivatives(self, t):
+        """(phi_t, psi_t, chi_t) rows at t from the defining equations (shapes as interp)."""
         phi, psi, chi = self.interp(t)
         c2, c1, th2 = _exponent_rates(self.model, self.model.cell_index(t))
         g = self.gen.rates
-        phi_t = -(c2 * phi + g @ phi)
-        psi_t = -(c1 * psi + g @ psi)
-        chi_t = 0.5 * th2 * psi * psi / phi - g @ chi
+        phi_t = -(c2 * phi + _gen_apply(g, phi))
+        psi_t = -(c1 * psi + _gen_apply(g, psi))
+        chi_t = 0.5 * th2 * psi * psi / phi - _gen_apply(g, chi)
         return phi_t, psi_t, chi_t
 
 
-def _exponent_rates(model: MarketModel, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-regime (2r - theta^2, r - theta^2, theta^2) on coefficient cell k."""
+def _gen_apply(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """G y for a row y of shape (D,), or for every row of y of shape (N, D).
+
+    The stacked matrix-vector product gives each row the bits of ``g @ row``;
+    a batched ``y @ g.T`` rounds differently.
+    """
+    return np.matmul(g, y[..., None])[..., 0]
+
+
+def _exponent_rates(model: MarketModel, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-regime (2r - theta^2, r - theta^2, theta^2) on coefficient cell k (or cells k)."""
     r = model.rates[k]
     th = (model.drifts[k] - model.rates[k]) / model.vols[k]
     th2 = th * th

@@ -8,6 +8,17 @@ Every update evaluates coefficients and the control at the cell's left
 endpoint using the regime in force during the cell (previsible,
 piecewise-constant controls).
 
+The engine steps a block of paths one shared-grid segment at a time, all
+paths at once.  A jump strictly inside a segment splits it, for that path,
+into sub-cells: ordinal 0 from the left node to the first such jump, ordinal
+m from the m-th jump to the next one or to the right node.  Per block, the
+within-segment jumps are gathered into flat arrays (path, segment, time, new
+state, draw column), and what their sub-cells need that does not depend on
+wealth is evaluated in one vectorized pass.  Each split segment is then
+stepped again for all of its jumping paths, ordinal by ordinal, with the
+full-segment step's elementwise expressions.  Those give the same bits on
+arrays as on scalars, so every path matches :func:`simulate_wealth`.
+
 Reproducibility contract: path k under master seed s draws its chain from
 Philox stream (s, 2k) and its Brownian increments from stream (s, 2k+1).
 Noise therefore depends only on (seed, path index, chain path), never on the
@@ -26,6 +37,7 @@ landing exactly on a grid node splits nothing and consumes no extra draw.
 from __future__ import annotations
 
 import math
+import mmap
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,9 +54,9 @@ from .chain import (
     path_stream,
 )
 from .control import CompiledPolicy, PolicySpec, _needs_solution, compile_policy
-from .errors import InvalidInitialStateError, NonFiniteSolutionError
+from .errors import InvalidInitialStateError, NonFiniteSolutionError, TargetMismatchError
 from .market import MarketModel
-from .odes import PhiPsiChiSolution, solve_phi_psi_chi
+from .odes import PhiPsiChiSolution, _gen_apply, solve_phi_psi_chi
 
 __all__ = [
     "McEstimate",
@@ -90,6 +102,17 @@ def _euler_step(x, u, r, sig, th, dt, dw):
     return x + (r * x + u * sig * th) * dt + u * sig * dw
 
 
+def _mapped_array(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Zero-filled array in its own anonymous memory mapping, unmapped when freed.
+
+    Large per-block arrays freed in the malloc heap below small arrays left
+    by the Euler stage would keep the heap from shrinking between runs.
+    """
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # shared grid geometry and coefficient tables
 # ---------------------------------------------------------------------------
@@ -116,18 +139,7 @@ class _SimGrid:
 
 def _policy_tables(policies: list[CompiledPolicy], grid: _SimGrid):
     """Per-segment affine (intercept, slope) tables; None for table policies."""
-    tables = []
-    for pol in policies:
-        if not pol.is_affine:
-            tables.append(None)
-            continue
-        d = pol.model.num_states
-        c0 = np.empty((grid.n_seg, d))
-        c1 = np.empty((grid.n_seg, d))
-        for s in range(grid.n_seg):
-            c0[s], c1[s] = pol.coeffs(float(grid.bounds[s]))
-        tables.append((c0, c1))
-    return tables
+    return [pol.coeffs(grid.bounds[:-1]) if pol.is_affine else None for pol in policies]
 
 
 def _semigroup_tables(model: MarketModel, gen: GeneratorMatrix, d: float, grid: _SimGrid):
@@ -157,7 +169,7 @@ def _semigroup_tables(model: MarketModel, gen: GeneratorMatrix, d: float, grid: 
 class _AdjointTables:
     """Per-bound adjoint ingredients for the residual accumulators."""
 
-    def __init__(self, model, gen, d, grid: _SimGrid, sol: PhiPsiChiSolution):
+    def __init__(self, model, gen, d, grid: _SimGrid):
         g = gen.rates
         self.phi, self.psi = _semigroup_tables(model, gen, d, grid)
         self.gphi = self.phi @ g.T
@@ -198,89 +210,169 @@ class _AdjointTables:
         self.rl1 = -phi_l + half * (r_s * phi_l + c0)
         self.rl2 = self.phi[1:] + half * (r_s * self.phi[1:] + c1)
         self.bounds = grid.bounds
-        self.sol = sol
         self.g = g
 
-    def interp_rows(self, t: float):
-        phi, psi, _ = self.sol.interp(t)
-        return phi, psi, self.g @ phi, self.g @ psi
-
-    def hermite_rows(self, s: int, t: float):
-        """phi/psi rows inside segment s by cubic Hermite between exact bounds.
+    def hermite_rows(self, s: np.ndarray, t: np.ndarray):
+        """phi/psi rows at times t inside segments s by cubic Hermite between exact bounds.
 
         Both endpoint values (semigroup tables) and endpoint slopes (from the
         backward systems) are exact, so the interpolation error is ~h^4 --
         needed because regime-jump residual terms see interpolation errors of
-        the two regimes with opposite signs, without cancellation.
+        the two regimes with opposite signs, without cancellation.  Returns
+        (phi, psi, G phi, G psi), one row per time.
         """
-        b0, b1 = float(self.bounds[s]), float(self.bounds[s + 1])
-        h = b1 - b0
+        b0 = self.bounds[s]
+        h = self.bounds[s + 1] - b0
         u = (t - b0) / h
         u2 = u * u
         u3 = u2 * u
-        h00 = 2.0 * u3 - 3.0 * u2 + 1.0
-        h10 = (u3 - 2.0 * u2 + u) * h
-        h01 = -2.0 * u3 + 3.0 * u2
-        h11 = (u3 - u2) * h
+        h00 = (2.0 * u3 - 3.0 * u2 + 1.0)[:, None]
+        h10 = ((u3 - 2.0 * u2 + u) * h)[:, None]
+        h01 = (-2.0 * u3 + 3.0 * u2)[:, None]
+        h11 = ((u3 - u2) * h)[:, None]
         phi = h00 * self.phi[s] + h10 * self.phi_tl[s] + h01 * self.phi[s + 1] + h11 * self.phi_tr[s]
         psi = h00 * self.psi[s] + h10 * self.psi_tl[s] + h01 * self.psi[s + 1] + h11 * self.psi_tr[s]
-        return phi, psi, self.g @ phi, self.g @ psi
+        return phi, psi, _gen_apply(self.g, phi), _gen_apply(self.g, psi)
 
 
 class _ValueTables:
     """V and its pieces at grid bounds, from the solved coefficient triple."""
 
     def __init__(self, gen, grid: _SimGrid, sol: PhiPsiChiSolution):
-        n = grid.n_seg
-        ds = sol.num_states
         g = gen.rates
-        self.phi = np.empty((n + 1, ds))
-        self.psi = np.empty((n + 1, ds))
-        self.chi = np.empty((n + 1, ds))
-        self.phi_t = np.empty((n, ds))
-        self.psi_t = np.empty((n, ds))
-        self.chi_t = np.empty((n, ds))
-        for s in range(n + 1):
-            self.phi[s], self.psi[s], self.chi[s] = sol.interp(float(grid.bounds[s]))
-        for s in range(n):
-            self.phi_t[s], self.psi_t[s], self.chi_t[s] = sol.derivatives(float(grid.bounds[s]))
+        self.phi, self.psi, self.chi = sol.interp(grid.bounds)
+        self.phi_t, self.psi_t, self.chi_t = sol.derivatives(grid.bounds[:-1])
         self.gphi = self.phi @ g.T
         self.gpsi = self.psi @ g.T
         self.gchi = self.chi @ g.T
-        self.sol = sol
 
 
 # ---------------------------------------------------------------------------
-# per-path chain realization against the shared grid
+# chain jumps against the shared grid
 # ---------------------------------------------------------------------------
 
 
-class _PathChain:
-    """A sampled chain path resolved against the segment grid (0-based states)."""
+def _jump_segments(bounds: np.ndarray, times: np.ndarray):
+    """Segment of each jump time and whether it lies strictly inside it.
 
-    __slots__ = ("jump_times", "jump_states", "interior_seg", "final_state", "n_interior")
-
-    def __init__(self, bounds: np.ndarray, state0: int, times: np.ndarray, states: np.ndarray):
-        self.jump_times = times
-        self.jump_states = states
-        self.final_state = state0 if times.shape[0] == 0 else int(states[-1])
-        if times.shape[0]:
-            pos = np.searchsorted(bounds, times, side="right") - 1
-            on_node = times == bounds[pos]
-            self.interior_seg = np.where(on_node, -1, pos)  # -1: no split needed
-        else:
-            self.interior_seg = np.empty(0, dtype=np.int64)
-        self.n_interior = int(np.count_nonzero(self.interior_seg >= 0))
+    A jump on a grid node splits nothing: it takes effect from that node on.
+    """
+    seg = np.searchsorted(bounds, times, side="right") - 1
+    return seg, times != bounds[seg]
 
 
-def _fill_regimes(r_row: np.ndarray, pc: _PathChain, bounds: np.ndarray) -> None:
-    """Regime in force at the start of each segment (row of the R matrix)."""
-    for tau, new, seg in zip(pc.jump_times, pc.jump_states, pc.interior_seg):
-        if seg < 0:  # jump exactly on a node: takes effect from that node on
-            pos = int(np.searchsorted(bounds, tau, side="right")) - 1
-            r_row[pos:] = new
-        else:
-            r_row[seg + 1 :] = new
+class _SubCells:
+    """Sub-cells of the segments that a block's paths split by jumping inside them.
+
+    Arrays run over sub-cells in (segment, ordinal, path) order and
+    ``groups[s]`` holds one slice per ordinal of segment s, ordinal 0 (the
+    "heads") first.  Everything that does not depend on wealth is evaluated
+    here, once per block, in the arithmetic of the full-segment step.
+    """
+
+    def __init__(self, ctx, z, path, tau, new, before, seg):
+        # path, tau, new, before, seg: the block's interior jumps in (path,
+        # time) order, with the states entered and left and their segments
+        grid = ctx.grid
+        bounds, n_seg = grid.bounds, grid.n_seg
+        n_jump = tau.shape[0]
+        idx = np.arange(n_jump)
+        first = np.ones(n_jump, dtype=bool)  # first jump of its (path, segment)
+        first[1:] = (path[1:] != path[:-1]) | (seg[1:] != seg[:-1])
+        last = np.append(first[1:], True)
+        nxt = np.minimum(idx + 1, n_jump - 1)
+        heads = np.nonzero(first)[0]
+        n_head = heads.shape[0]
+        # the m-th interior jump of a path opens the sub-cell fed by z[S + m]
+        zcol = n_seg + idx - np.searchsorted(path, path, side="left")
+        ordinal = idx + 1 - np.maximum.accumulate(np.where(first, idx, 0))
+        cat = np.concatenate
+        keys = (
+            cat([path[heads], path]),
+            cat([np.zeros(n_head, dtype=np.int64), ordinal]),
+            cat([seg[heads], seg]),
+        )
+        order = np.lexsort(keys)
+        self.path, ordinal, self.seg = (k[order] for k in keys)
+        self.a = cat([bounds[seg[heads]], tau])[order]
+        b = cat([tau[heads], np.where(last, bounds[seg + 1], tau[nxt])])[order]
+        self.st = cat([before[heads], new])[order]
+        self.lj = cat([np.full(n_head, -1), idx])[order]  # jump at the left edge
+        self.rj = cat([heads, np.where(last, -1, nxt)])[order]  # jump at the right edge
+        zc = cat([seg[heads], zcol])[order]
+
+        cut = np.nonzero((self.seg[1:] != self.seg[:-1]) | (ordinal[1:] != ordinal[:-1]))[0] + 1
+        self.groups: dict[int, list[slice]] = {}
+        for lo, hi in zip([0, *cut.tolist()], [*cut.tolist(), order.shape[0]]):
+            self.groups.setdefault(int(self.seg[lo]), []).append(slice(lo, hi))
+
+        s, st = self.seg, self.st
+        self.dt = b - self.a
+        self.dw = z[self.path, zc] * np.sqrt(self.dt)
+        self.r = grid.r_seg[s, st]
+        self.sg = grid.sig_seg[s, st]
+        self.th = grid.th_seg[s, st]
+        # affine policies at jump times, in the regime entered (ordinals >= 1)
+        self.cu = [
+            None if tab is None else tuple(c[idx, new][self.lj] for c in pol.coeffs(tau))
+            for pol, tab in zip(ctx.policies, ctx.tables)
+        ]
+
+        acc = ctx.accumulate
+        self.part = np.zeros((6, z.shape[0])) if acc else None  # per-path sub-cell sums
+        sol, g = ctx.sol, ctx.gen.rates
+        if "bsde" in acc:
+            adj = ctx.adj
+            hphi, hpsi, hgphi, hgpsi = adj.hermite_rows(seg, tau)
+            after = cat([new[heads], new[nxt]])[order]  # regime past the right edge
+            pa, sa = self.left(adj.phi, hphi), self.left(adj.psi, hpsi)
+            gpa, gsa = self.left(adj.gphi, hgphi), self.left(adj.gpsi, hgpsi)
+            self.bsde = (
+                pa, sa, gpa, gsa,
+                self.right(adj.phi, hphi, st), self.right(adj.psi, hpsi, st),
+                self.right(adj.gphi, hgphi, st), self.right(adj.gpsi, hgpsi, st),
+                self.right(adj.phi, hphi, after), self.right(adj.psi, hpsi, after),
+            )
+            # second-order drift correction (_AdjointTables) from the rows
+            # at each jump-opened sub-cell's left edge
+            r, th2 = self.r, self.th * self.th
+            phit = -(2.0 * r - th2) * pa - gpa
+            psit = -(r - th2) * sa - gsa
+            rho = sa / pa
+            rho_t = (psit * pa - sa * phit) / (pa * pa)
+            wa = -0.5 * th2 * (rho_t + (r - th2) * rho)
+            self.wa = np.where(self.lj < 0, adj.wa[s, st], wa)
+            self.wb = adj.wb[s, st]  # depends on the cell and regime only
+        if "dynkin" in acc:
+            val = ctx.val
+            phi, psi, chi = sol.interp(tau)
+            rows = (phi, psi, chi, *sol.derivatives(tau),
+                    _gen_apply(g, phi), _gen_apply(g, psi), _gen_apply(g, chi))
+            tables = (val.phi, val.psi, val.chi, val.phi_t, val.psi_t, val.chi_t,
+                      val.gphi, val.gpsi, val.gchi)
+            self.dyn = tuple(self.left(tab, row) for tab, row in zip(tables, rows))
+        if "integrability" in acc:
+            adj = ctx.adj
+            phi, psi, _ = sol.interp(tau)
+            dphi = phi[:, None, :] - phi[:, :, None]  # [n, i, j] = phi_j - phi_i
+            dpsi = psi[:, None, :] - psi[:, :, None]
+            self.integ = (
+                self.left(adj.phi, phi),
+                self.left(adj.psi, psi),
+                self.left(adj.qa2, np.sum(g * dphi * dphi, axis=2)),
+                self.left(adj.qa1, 2.0 * np.sum(g * dphi * dpsi, axis=2)),
+                self.left(adj.qa0, np.sum(g * dpsi * dpsi, axis=2)),
+            )
+
+    def left(self, at_bounds, at_jumps):
+        """Per sub-cell, in its regime: the row of its segment's left node in
+        ``at_bounds`` for heads, else the row of its opening jump in ``at_jumps``."""
+        return np.where(self.lj < 0, at_bounds[self.seg, self.st], at_jumps[self.lj, self.st])
+
+    def right(self, at_bounds, at_jumps, state):
+        """Per sub-cell, in regime ``state``: the row of its right edge, a node
+        of ``at_bounds`` or a jump of ``at_jumps``."""
+        return np.where(self.rj < 0, at_bounds[self.seg + 1, state], at_jumps[self.rj, state])
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +411,7 @@ class _RunContext:
         self.val = None
         self.t_end_idx = None
         if "bsde" in accumulate or "integrability" in accumulate:
-            self.adj = _AdjointTables(model, gen, d, self.grid, sol)
+            self.adj = _AdjointTables(model, gen, d, self.grid)
         if self.weak2 and policies and policies[0].spec.kind == "optimal":
             # Feed the residual run the same phi/psi representation in the
             # control as in the coefficient rows.  The ODE interpolant is
@@ -337,6 +429,7 @@ class _RunContext:
                 raise ValueError(f"t_end={t_end} is not a grid node")
             self.t_end_idx = int(idx[0])
         self.d = d
+        self.sol = sol
 
 
 class _BlockOut:
@@ -377,39 +470,36 @@ def _process_block(ctx: _RunContext, lo: int, hi: int, out: _BlockOut) -> float:
     i0_0 = ctx.i0 - 1
 
     # --- chain stage -------------------------------------------------------
-    chains: list[_PathChain] = []
-    regimes = np.full((nb, n_seg), i0_0, dtype=np.int16)
-    jump_groups: dict[int, list] = {}
-    max_extra = 0
-    for p in range(nb):
-        rng = path_stream(ctx.seed, lo + p, CHAIN_STREAM)
-        times, states = ctx.sampler.sample(rng, i0_0, model.horizon)
-        pc = _PathChain(bounds, i0_0, times, states)
-        chains.append(pc)
-        if times.shape[0]:
-            _fill_regimes(regimes[p], pc, bounds)
-        max_extra = max(max_extra, pc.n_interior)
-        m = 0
-        run_seg, run = -1, None
-        for tau, new, seg in zip(pc.jump_times, pc.jump_states, pc.interior_seg):
-            if seg < 0:
-                continue
-            z_idx = n_seg + m
-            m += 1
-            if seg != run_seg:
-                run = []
-                jump_groups.setdefault(int(seg), []).append((p, run))
-                run_seg = seg
-            run.append((float(tau), int(new), z_idx))
-        out.n_jumps[p] = times.shape[0]
-        out.alpha_final[p] = pc.final_state + 1
+    chains = [
+        ctx.sampler.sample(path_stream(ctx.seed, lo + p, CHAIN_STREAM), i0_0, model.horizon)
+        for p in range(nb)
+    ]
+    counts = np.array([times.shape[0] for times, _ in chains], dtype=np.int64)
+    tau = np.concatenate([times for times, _ in chains])
+    new = np.concatenate([states for _, states in chains])
+    path = np.repeat(np.arange(nb), counts)
+    before = np.empty_like(new)  # state left at each jump
+    before[1:] = new[:-1]
+    before[np.searchsorted(path, path, side="left") == np.arange(path.shape[0])] = i0_0
+    seg, inner = _jump_segments(bounds, tau)
+    regimes = _mapped_array((nb, n_seg), np.int16)
+    regimes[:] = i0_0
+    for p, start, state in zip(path.tolist(), (seg + inner).tolist(), new.tolist()):
+        regimes[p, start:] = state
+    out.n_jumps[:] = counts
+    out.alpha_final[:] = i0_0 + 1
+    out.alpha_final[counts > 0] = new[np.cumsum(counts)[counts > 0] - 1] + 1
+    n_inner = np.bincount(path[inner], minlength=nb)
 
     # --- noise stage -------------------------------------------------------
-    z = np.empty((nb, n_seg + max_extra))
-    for p in range(nb):
+    z = _mapped_array((nb, n_seg + int(n_inner.max())), np.float64)
+    for p, need in enumerate((n_seg + n_inner).tolist()):
         rng = path_stream(ctx.seed, lo + p, NOISE_STREAM)
-        need = n_seg + chains[p].n_interior
         rng.standard_normal(out=z[p, :need])
+
+    sub = None
+    if inner.any():
+        sub = _SubCells(ctx, z, path[inner], tau[inner], new[inner], before[inner], seg[inner])
 
     # --- Euler stage -------------------------------------------------------
     x = [np.full(nb, ctx.x0) for _ in range(n_pol)]
@@ -460,13 +550,12 @@ def _process_block(ctx: _RunContext, lo: int, hi: int, out: _BlockOut) -> float:
             if ctx.weak2:
                 xn[0] = xn[0] + (ctx.adj.wa[s][reg] + ctx.adj.wb[s][reg] * x[0]) * (dt * dt)
 
-            records = jump_groups.get(s)
-            if records is None:
-                mask = None
-            else:
+            split = None if sub is None else sub.groups.get(s)
+            mask = None
+            if split is not None and acc:
+                # split paths contribute their sub-cell sums instead
                 mask = np.ones(nb)
-                for p, _run in records:
-                    mask[p] = 0.0
+                mask[sub.path[split[0]]] = 0.0
 
             if want_bsde:
                 qhat = adj.phi[s][reg] * sg_v * us[0]
@@ -509,17 +598,14 @@ def _process_block(ctx: _RunContext, lo: int, hi: int, out: _BlockOut) -> float:
             if want_dyn and s == ctx.t_end_idx:
                 _capture_dynkin_end(out, val, x[0], reg, s)
 
-            if records is not None:
-                t1 = float(bounds[s + 1])
-                cell_k = int(grid.cell_of_seg[s])
-                for p, run in records:
-                    _replay_segment(
-                        ctx, p, run, s, t0, t1, cell_k, regimes, x, xn, z,
-                        res if want_bsde else None,
-                        res_sq if want_bsde else None,
-                        dint if want_dyn and s < ctx.t_end_idx else None,
-                        integ if want_integ else None,
-                    )
+            if split is not None:
+                _replay_split(
+                    ctx, sub, split, x, xn, us,
+                    res if want_bsde else None,
+                    res_sq if want_bsde else None,
+                    dint if want_dyn and s < ctx.t_end_idx else None,
+                    integ if want_integ else None,
+                )
             x = xn
 
     if want_dyn and ctx.t_end_idx == n_seg:
@@ -555,164 +641,76 @@ def _capture_dynkin_end(out, val, x_vec, reg_col, s_idx, alpha_final=None):
     out.dynkin_vend[:] = 0.5 * phi * x_vec * x_vec + psi * x_vec + chi
 
 
-def _replay_segment(
-    ctx, p, run, s, t0, t1, cell_k, regimes, x_old, x_new, z, res, res_sq, dint, integ
-):
-    """Re-run one segment for a path whose chain jumps inside it.
+def _replay_split(ctx, sub: _SubCells, split, x, xn, us, res, res_sq, dint, integ):
+    """Step one segment again for every path of the block that jumps inside it.
 
-    Builds the sub-cell list [(a, b, state, z-column)] and applies the same
-    canonical Euler expression per policy in scalar arithmetic; optional
-    accumulators receive the corrected contributions for this path.
+    ``split`` holds the segment's sub-cell slices by ordinal; each ordinal is
+    stepped for all of its paths at once, starting from ``x`` and writing
+    into ``xn``.  Ordinal 0 reuses the full-segment controls ``us``.  Each
+    tracked accumulator of such a path receives the sum of its sub-cell
+    contributions (the full-segment one was masked out).
     """
-    model = ctx.model
-    grid = ctx.grid
-    sub = []
-    state = int(regimes[p, s])
-    a, zcol = t0, s
-    for tau, new, z_idx in run:
-        sub.append((a, tau, state, zcol))
-        a, state, zcol = tau, new, z_idx
-    sub.append((a, t1, state, zcol))
-    rates_row = model.rates[cell_k]
-    vols_row = model.vols[cell_k]
-    th_row = (model.drifts[cell_k] - model.rates[cell_k]) / model.vols[cell_k]
-
-    n_pol = len(ctx.policies)
-    for k_pol in range(n_pol):
-        xs = float(x_old[k_pol][p])
-        pol = ctx.policies[k_pol]
-        tab = ctx.tables[k_pol]
-        track_bsde = res is not None and k_pol == 0
-        track_dyn = dint is not None and k_pol == 0
-        track_integ = integ is not None and k_pol == 0
-        if track_bsde:
-            res_p = 0.0
-            sq_p = 0.0
-            adj = ctx.adj
-        if track_dyn:
-            dint_p = 0.0
-        if track_integ:
-            # needs both trajectories; replay policy 1 alongside below
-            xs_alt = float(x_old[1][p])
-            integ_p = [0.0, 0.0, 0.0]
-        prev_right = None  # interp rows carried across sub-cells
-        for idx_c, (ca, cb, st, zc) in enumerate(sub):
-            dtc = cb - ca
-            dwc = float(z[p, zc]) * math.sqrt(dtc)
-            r_c = float(rates_row[st])
-            sg_c = float(vols_row[st])
-            th_c = float(th_row[st])
-            if tab is not None and ca == t0:
-                u_c = float(tab[0][s][st] + tab[1][s][st] * xs)
+    paths = sub.path[split[0]]
+    part = sub.part
+    if part is not None:
+        part[:, paths] = 0.0
+    for ordinal, sl in enumerate(split):
+        pg = sub.path[sl]
+        dt, dw, r, sg, th = sub.dt[sl], sub.dw[sl], sub.r[sl], sub.sg[sl], sub.th[sl]
+        steps = []
+        for k_pol, pol in enumerate(ctx.policies):
+            xs = (x[k_pol] if ordinal == 0 else xn[k_pol])[pg]
+            if ordinal == 0:
+                u = us[k_pol][pg]
+            elif sub.cu[k_pol] is not None:
+                u = sub.cu[k_pol][0][sl] + sub.cu[k_pol][1][sl] * xs
             else:
-                u_c = pol(ca, xs, st + 1)
-            x_next = _euler_step(xs, u_c, r_c, sg_c, th_c, dtc, dwc)
-            if track_bsde:
-                if idx_c == 0:
-                    phi_a, psi_a = adj.phi[s], adj.psi[s]
-                    gphi_a, gpsi_a = adj.gphi[s], adj.gpsi[s]
-                else:
-                    phi_a, psi_a, gphi_a, gpsi_a = prev_right
-                if ctx.weak2:
-                    if idx_c == 0:
-                        wa_c = float(adj.wa[s][st])
-                        wb_c = float(adj.wb[s][st])
-                    else:
-                        phv, psv = float(phi_a[st]), float(psi_a[st])
-                        th2 = th_c * th_c
-                        phit = -(2.0 * r_c - th2) * phv - float(gphi_a[st])
-                        psit = -(r_c - th2) * psv - float(gpsi_a[st])
-                        rho = psv / phv
-                        rho_t = (psit * phv - psv * phit) / (phv * phv)
-                        wa_c = -0.5 * th2 * (rho_t + (r_c - th2) * rho)
-                        wb_c = 0.5 * (r_c - th2) ** 2
-                    x_next = x_next + (wa_c + wb_c * xs) * (dtc * dtc)
-                if idx_c == len(sub) - 1:
-                    phi_b, psi_b = adj.phi[s + 1], adj.psi[s + 1]
-                    gphi_b, gpsi_b = adj.gphi[s + 1], adj.gpsi[s + 1]
-                else:
-                    phi_b, psi_b, gphi_b, gpsi_b = adj.hermite_rows(s, cb)
-                p0 = float(phi_a[st]) * xs + float(psi_a[st])
-                p1 = float(phi_b[st]) * x_next + float(psi_b[st])
-                qh = float(phi_a[st]) * sg_c * u_c
-                eg0 = xs * float(gphi_a[st]) + float(gpsi_a[st])
-                eg1 = x_next * float(gphi_b[st]) + float(gpsi_b[st])
-                res_c = (p1 - p0) + 0.5 * (r_c * p0 + r_c * p1) * dtc - qh * dwc + 0.5 * (eg0 + eg1) * dtc
-                if idx_c < len(sub) - 1:
-                    # jump at cb: p_hat jump minus eta cancels up to rounding
-                    nxt = sub[idx_c + 1][2]
-                    jump_dp = (float(phi_b[nxt]) * x_next + float(psi_b[nxt])) - (
-                        float(phi_b[st]) * x_next + float(psi_b[st])
-                    )
-                    eta = x_next * (float(phi_b[nxt]) - float(phi_b[st])) + (
-                        float(psi_b[nxt]) - float(psi_b[st])
-                    )
-                    res_c += jump_dp - eta
-                    prev_right = (phi_b, psi_b, gphi_b, gpsi_b)
-                res_p += res_c
-                sq_p += res_c * res_c
-            if track_dyn:
-                val = ctx.val
-                if idx_c == 0:
-                    phi_r, psi_r, chi_r = val.phi[s], val.psi[s], val.chi[s]
-                    pt_r, st_r, ct_r = val.phi_t[s], val.psi_t[s], val.chi_t[s]
-                    gp_r, gs_r, gc_r = val.gphi[s], val.gpsi[s], val.gchi[s]
-                else:
-                    phi_r, psi_r, chi_r = val.sol.interp(ca)
-                    pt_r, st_r, ct_r = val.sol.derivatives(ca)
-                    g = ctx.gen.rates
-                    gp_r, gs_r, gc_r = g @ phi_r, g @ psi_r, g @ chi_r
-                gv = (
-                    0.5 * float(pt_r[st]) * xs * xs
-                    + float(st_r[st]) * xs
-                    + float(ct_r[st])
-                    + (r_c * xs + u_c * sg_c * th_c) * (float(phi_r[st]) * xs + float(psi_r[st]))
-                    + 0.5 * u_c * u_c * sg_c * sg_c * float(phi_r[st])
-                    + 0.5 * float(gp_r[st]) * xs * xs
-                    + float(gs_r[st]) * xs
-                    + float(gc_r[st])
-                )
-                dint_p += gv * dtc
-            if track_integ:
-                adj = ctx.adj
-                if idx_c == 0:
-                    phi_a, psi_a = adj.phi[s], adj.psi[s]
-                    qa2, qa1, qa0 = adj.qa2[s], adj.qa1[s], adj.qa0[s]
-                else:
-                    phi_row, psi_row, _, _ = adj.interp_rows(ca)
-                    phi_a, psi_a = phi_row, psi_row
-                    g = ctx.gen.rates
-                    dphi = phi_a[None, :] - phi_a[:, None]
-                    dpsi = psi_a[None, :] - psi_a[:, None]
-                    qa2 = np.sum(g * dphi * dphi, axis=1)
-                    qa1 = 2.0 * np.sum(g * dphi * dpsi, axis=1)
-                    qa0 = np.sum(g * dpsi * dpsi, axis=1)
-                tab1 = ctx.tables[1]
-                if tab1 is not None and ca == t0:
-                    u_alt = float(tab1[0][s][st] + tab1[1][s][st] * xs_alt)
-                else:
-                    u_alt = ctx.policies[1](ca, xs_alt, st + 1)
-                ph = float(phi_a[st]) * xs + float(psi_a[st])
-                gap_u = (u_c - u_alt) * sg_c
-                gap_x = xs - xs_alt
-                qh = float(phi_a[st]) * sg_c * u_c
-                eta_q = float(qa2[st]) * xs * xs + float(qa1[st]) * xs + float(qa0[st])
-                integ_p[0] += gap_u * gap_u * ph * ph * dtc
-                integ_p[1] += qh * qh * gap_x * gap_x * dtc
-                integ_p[2] += gap_x * gap_x * eta_q * dtc
-                xs_alt = _euler_step(xs_alt, u_alt, r_c, sg_c, th_c, dtc, dwc)
-            xs = x_next
-        x_new[k_pol][p] = xs
-        if track_bsde:
-            res[p] += res_p
-            res_sq[p] += sq_p
-        if track_dyn:
-            dint[p] += dint_p
-        if track_integ:
-            integ[0, p] += integ_p[0]
-            integ[1, p] += integ_p[1]
-            integ[2, p] += integ_p[2]
-            x_new[1][p] = xs_alt
+                u = pol.eval_vector(sub.a[sl], xs, sub.st[sl])
+            x_next = _euler_step(xs, u, r, sg, th, dt, dw)
+            if k_pol == 0 and ctx.weak2:
+                x_next = x_next + (sub.wa[sl] + sub.wb[sl] * xs) * (dt * dt)
+            xn[k_pol][pg] = x_next
+            steps.append((xs, u, x_next))
+        xs, u, x_next = steps[0]
+        if res is not None:
+            pa, sa, gpa, gsa, pb, sb, gpb, gsb, pb_after, sb_after = (v[sl] for v in sub.bsde)
+            p0 = pa * xs + sa
+            p1 = pb * x_next + sb
+            qh = pa * sg * u
+            eg0 = xs * gpa + gsa
+            eg1 = x_next * gpb + gsb
+            res_c = (p1 - p0) + 0.5 * (r * p0 + r * p1) * dt - qh * dw + 0.5 * (eg0 + eg1) * dt
+            # a jump at the right edge: p_hat's jump minus eta cancels up to rounding
+            jump_dp = (pb_after * x_next + sb_after) - p1
+            eta = x_next * (pb_after - pb) + (sb_after - sb)
+            res_c = np.where(sub.rj[sl] < 0, res_c, res_c + (jump_dp - eta))
+            part[0, pg] += res_c
+            part[1, pg] += res_c * res_c
+        if dint is not None:
+            phr, psr, chr_, ptr, pst, ctr, gpr, gsr, gcr = (v[sl] for v in sub.dyn)
+            gv = (
+                0.5 * ptr * xs * xs + pst * xs + ctr + (r * xs + u * sg * th) * (phr * xs + psr)
+                + 0.5 * u * u * sg * sg * phr + 0.5 * gpr * xs * xs + gsr * xs + gcr
+            )
+            part[2, pg] += gv * dt
+        if integ is not None:
+            xa, ua, _ = steps[1]
+            pha, psa, q2, q1, q0 = (v[sl] for v in sub.integ)
+            ph = pha * xs + psa
+            gap_u = (u - ua) * sg
+            gap_x = xs - xa
+            qh = pha * sg * u
+            eta_q = q2 * xs * xs + q1 * xs + q0
+            part[3, pg] += gap_u * gap_u * ph * ph * dt
+            part[4, pg] += qh * qh * gap_x * gap_x * dt
+            part[5, pg] += gap_x * gap_x * eta_q * dt
+    if res is not None:
+        res[paths] += part[0, paths]
+        res_sq[paths] += part[1, paths]
+    if dint is not None:
+        dint[paths] += part[2, paths]
+    if integ is not None:
+        integ[:, paths] += part[3:, paths]
 
 
 def _run_blocks(
@@ -775,10 +773,14 @@ def _run_blocks(
 
 
 def _resolve_policies(model, gen, specs: list[PolicySpec], sol, d, steps_per_cell=200):
-    if sol is None and any(_needs_solution(sp) for sp in specs):
-        if d is None:
-            raise ValueError("target d is required to solve for the optimal policy")
-        sol = solve_phi_psi_chi(model, gen, d, steps_per_cell)
+    if any(_needs_solution(sp) for sp in specs):
+        if sol is None:
+            if d is None:
+                raise ValueError("target d is required to solve for the optimal policy")
+            sol = solve_phi_psi_chi(model, gen, d, steps_per_cell)
+        elif d is not None and float(d) != sol.target:
+            # the policy would be optimal for sol.target, not for the loss at d
+            raise TargetMismatchError(f"solution was solved for target {sol.target}, not d={d}")
     return [compile_policy(sp, model, sol) for sp in specs], sol
 
 
@@ -800,10 +802,7 @@ def simulate_wealth(
     estimators, so path ``k`` here reproduces path ``k`` of an
     :func:`estimate_J` run with the same seed, bit for bit.
     """
-    compiled, sol = _resolve_policies(
-        model, gen, [policy], sol, sol.target if sol is not None else None
-    )
-    pol = compiled[0]
+    pol = _resolve_policies(model, gen, [policy], sol, None)[0][0]
     grid = _SimGrid(model, n_steps)
     tab = _policy_tables([pol], grid)[0]
     if not (1 <= i0 <= model.num_states):
@@ -811,8 +810,9 @@ def simulate_wealth(
     rng = path_stream(seed, path_index, CHAIN_STREAM)
     sampler = _ChainSampler(gen)
     times, states = sampler.sample(rng, i0 - 1, model.horizon)
-    pc = _PathChain(grid.bounds, i0 - 1, times, states)
-    n_draws = grid.n_seg + pc.n_interior
+    seg, inner = _jump_segments(grid.bounds, times)
+    interior_seg = np.where(inner, seg, -1)
+    n_draws = grid.n_seg + int(np.count_nonzero(inner))
     zrng = path_stream(seed, path_index, NOISE_STREAM)
     z = zrng.standard_normal(n_draws)
 
@@ -828,15 +828,15 @@ def simulate_wealth(
     for s in range(grid.n_seg):
         t0, t1 = float(grid.bounds[s]), float(grid.bounds[s + 1])
         # node-exact jumps switch the regime without splitting the cell
-        while jump_ptr < times.shape[0] and pc.interior_seg[jump_ptr] < 0 and times[jump_ptr] <= t0:
-            state = int(pc.jump_states[jump_ptr])
+        while jump_ptr < times.shape[0] and interior_seg[jump_ptr] < 0 and times[jump_ptr] <= t0:
+            state = int(states[jump_ptr])
             jump_ptr += 1
         sub = []
         a, zcol = t0, s
-        while jump_ptr < times.shape[0] and pc.interior_seg[jump_ptr] == s:
+        while jump_ptr < times.shape[0] and interior_seg[jump_ptr] == s:
             tau = float(times[jump_ptr])
             sub.append((a, tau, state, zcol))
-            state = int(pc.jump_states[jump_ptr])
+            state = int(states[jump_ptr])
             a, zcol = tau, grid.n_seg + m
             m += 1
             jump_ptr += 1
@@ -858,12 +858,7 @@ def simulate_wealth(
             controls.append(u_c)
             incrs.append(dwc)
             regs.append(st + 1)
-    chain = ChainPath(
-        initial_state=i0,
-        horizon=model.horizon,
-        jump_times=times,
-        jump_states=states + 1,
-    )
+    chain = ChainPath(initial_state=i0, horizon=model.horizon, jump_times=times, jump_states=states + 1)
     return WealthPath(
         times=np.asarray(cell_times),
         wealth=np.asarray(wealth),

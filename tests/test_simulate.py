@@ -1,23 +1,58 @@
 """Wealth SDE simulation, J estimation, and paired policy comparisons."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rscontrol import (
+    TargetMismatchError,
     compare_policies,
     compile_policy,
     constant_policy,
     estimate_J,
     make_market,
     optimal_policy,
+    scale_policy,
     shift_policy,
     simulate_wealth,
     solve_phi_psi_chi,
     standard_perturbations,
+    table_policy,
+    validate_generator,
+    window_shift_policy,
 )
+from rscontrol import simulate
 from rscontrol.simulate import _run_blocks, _resolve_policies
+
+FAST_D = 1.1
+
+
+@pytest.fixture(scope="module")
+def fast_market():
+    # three regimes, two coefficient cells
+    return make_market(
+        horizon=1.0,
+        initial_wealth=1.0,
+        breakpoints=[0.0, 0.5, 1.0],
+        rates=[[0.02, 0.04, 0.06], [0.03, 0.05, 0.01]],
+        drifts=[[0.10, 0.06, 0.14], [0.08, 0.12, 0.04]],
+        vols=[[0.25, 0.35, 0.30], [0.30, 0.20, 0.40]],
+    )
+
+
+@pytest.fixture(scope="module")
+def fast_gen():
+    # exit rates 10-12: about eleven jumps per path on [0, 1]
+    return validate_generator([[-10.0, 6.0, 4.0], [5.0, -11.0, 6.0], [7.0, 5.0, -12.0]])
+
+
+@pytest.fixture(scope="module")
+def fast_sol(fast_market, fast_gen):
+    return solve_phi_psi_chi(fast_market, fast_gen, FAST_D, 200)
 
 
 def test_zero_policy_recovers_deterministic_growth(single_market, single_gen):
@@ -149,6 +184,123 @@ def test_engine_paths_match_single_path_simulator(tworeg_market, tworeg_gen, two
             tworeg_market, tworeg_gen, optimal_policy(), tworeg_sol, 1.0, 256, 13, path_index=k
         )
         assert arts.x_final[0][k] == wp.wealth[-1]
+
+
+def test_engine_paths_match_single_path_simulator_under_fast_switching(
+    fast_market, fast_gen, fast_sol
+):
+    n_steps, seed = 32, 41
+    opt = optimal_policy()
+    table = table_policy(
+        [0.0, 0.25, 0.6],
+        [0.5, 1.0, 1.5],
+        np.linspace(-0.4, 0.5, 27).reshape(3, 3, 3),
+    )
+    specs = [
+        opt,
+        constant_policy(0.3),
+        shift_policy(opt, 0.1),
+        scale_policy(opt, 1.5),
+        window_shift_policy(opt, 0.2, 0.1, 0.3001),  # right edge between grid nodes
+        table,
+    ]
+    compiled, _ = _resolve_policies(fast_market, fast_gen, specs, fast_sol, FAST_D)
+    arts = _run_blocks(
+        fast_market, fast_gen, compiled, i0=2, x0=1.0,
+        n_paths=48, n_steps=n_steps, seed=seed,
+    )
+    nodes = np.linspace(0.0, 1.0, n_steps + 1)
+    jump_bounded = 0  # sub-cells opened and closed by jumps inside one segment
+    for k in range(48):
+        for j, spec in enumerate(specs):
+            wp = simulate_wealth(
+                fast_market, fast_gen, spec, fast_sol, 1.0, n_steps, seed, i0=2, path_index=k
+            )
+            assert arts.x_final[j][k] == wp.wealth[-1], (k, spec.describe())
+        off_grid = ~np.isin(wp.times, nodes)
+        jump_bounded += int(np.count_nonzero(off_grid[:-1] & off_grid[1:]))
+    assert jump_bounded > 20
+
+
+def test_dynkin_accumulator_matches_per_cell_sum(fast_market, fast_gen, fast_sol):
+    # Gamma V summed over a path's cells, segment by segment, from its
+    # single-path trajectory; a constant control keeps Gamma V away from 0
+    n_steps, seed = 16, 7
+    spec = constant_policy(0.3)
+    compiled, _ = _resolve_policies(fast_market, fast_gen, [spec], fast_sol, FAST_D)
+    arts = _run_blocks(
+        fast_market, fast_gen, compiled, i0=3, x0=1.0, n_paths=12, n_steps=n_steps,
+        seed=seed, accumulate=frozenset({"dynkin"}), sol=fast_sol, d=FAST_D, t_end=1.0,
+    )
+    g = fast_gen.rates
+    theta = fast_market.theta()
+    nodes = np.linspace(0.0, 1.0, n_steps + 1)
+    for k in range(12):
+        wp = simulate_wealth(
+            fast_market, fast_gen, spec, fast_sol, 1.0, n_steps, seed, i0=3, path_index=k
+        )
+        total = segment = 0.0
+        for c, t in enumerate(wp.times[:-1]):
+            x, u, i = wp.wealth[c], wp.controls[c], wp.regimes[c] - 1
+            kc = fast_market.cell_index(t)
+            r, sg, th = fast_market.rates[kc, i], fast_market.vols[kc, i], theta[kc, i]
+            phi, psi, chi = fast_sol.interp(t)
+            phi_t, psi_t, chi_t = fast_sol.derivatives(t)
+            gamma_v = (
+                0.5 * phi_t[i] * x * x + psi_t[i] * x + chi_t[i]
+                + (r * x + u * sg * th) * (phi[i] * x + psi[i])
+                + 0.5 * u * u * sg * sg * phi[i]
+                + 0.5 * (g @ phi)[i] * x * x + (g @ psi)[i] * x + (g @ chi)[i]
+            )
+            segment += gamma_v * (wp.times[c + 1] - t)
+            if np.isin(wp.times[c + 1], nodes):
+                total, segment = total + segment, 0.0
+        assert arts.dynkin_int[k] == pytest.approx(total, rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    n_paths=st.integers(1, 20),
+    workers=st.sampled_from([1, 2]),
+    block=st.integers(1, 9),
+)
+def test_paths_depend_only_on_seed_and_index(
+    fast_market, fast_gen, fast_sol, seed, n_paths, workers, block
+):
+    compiled, _ = _resolve_policies(
+        fast_market, fast_gen, [optimal_policy(), shift_policy(optimal_policy(), 0.1)],
+        fast_sol, FAST_D,
+    )
+    kw = dict(
+        i0=1, x0=1.0, n_steps=8, seed=seed, sol=fast_sol, d=FAST_D, t_end=0.5,
+        accumulate=frozenset({"bsde", "dynkin", "integrability"}),
+    )
+    ref = _run_blocks(fast_market, fast_gen, compiled, n_paths=n_paths + 5, **kw)
+    with mock.patch.object(simulate, "_BLOCK", block):
+        run = _run_blocks(fast_market, fast_gen, compiled, n_paths=n_paths, workers=workers, **kw)
+    for name in ("x_final", "integ"):
+        assert np.array_equal(getattr(run, name), getattr(ref, name)[:, :n_paths]), name
+    for name in ("alpha_final", "n_jumps", "bsde_sum", "bsde_sq", "dynkin_int", "dynkin_vend"):
+        assert np.array_equal(getattr(run, name), getattr(ref, name)[:n_paths]), name
+
+
+def test_solution_for_another_target_is_rejected(tworeg_market, tworeg_gen, tworeg_sol):
+    # tworeg_sol is solved for d = 1.2; its policy is not optimal for the loss at d = 1.0
+    with pytest.raises(TargetMismatchError):
+        estimate_J(
+            tworeg_market, tworeg_gen, optimal_policy(), 1.0, 4096, 256, seed=1, sol=tworeg_sol
+        )
+    with pytest.raises(TargetMismatchError):
+        compare_policies(
+            tworeg_market, tworeg_gen, optimal_policy(), [constant_policy(0.0)], 1.0, 64, 16,
+            seed=1, sol=tworeg_sol,
+        )
+    # a policy that does not use the solution is unaffected
+    est = estimate_J(
+        tworeg_market, tworeg_gen, constant_policy(0.1), 1.0, 64, 16, seed=1, sol=tworeg_sol
+    )
+    assert math.isfinite(est.mean)
 
 
 def test_compare_policies_identical_alternative_is_exactly_zero(
