@@ -23,10 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .chain import (
-    CHAIN_STREAM,
     GeneratorMatrix,
-    _ChainSampler,
-    path_stream,
+    _batches,
+    _running_sum,
     transition_matrix,
     validate_generator,
 )
@@ -168,39 +167,22 @@ def _need_target(rc: RunConfig) -> float:
 def _cmd_simulate_chain(rc: RunConfig) -> int:
     gen, t_hor = rc.gen, rc.model.horizon
     d_states = gen.num_states
-    sampler = _ChainSampler(gen)
     occ_probs = np.zeros(d_states)
-    occ_probs2 = np.zeros(d_states)
     jumps_sum = jumps_sum2 = 0.0
     n_sum = np.zeros((d_states, d_states))
     n_sum2 = np.zeros((d_states, d_states))
     m_sum = np.zeros((d_states, d_states))
     m_sum2 = np.zeros((d_states, d_states))
-    counts = np.zeros((d_states, d_states))
-    for k in range(rc.n_paths):
-        rng = path_stream(rc.seed, k, CHAIN_STREAM)
-        times, states = sampler.sample(rng, rc.i0 - 1, t_hor)
-        occ = np.zeros(d_states)
-        prev_t, prev_s = 0.0, rc.i0 - 1
-        counts[:] = 0.0
-        for tau, nxt in zip(times, states):
-            occ[prev_s] += tau - prev_t
-            counts[prev_s, nxt] += 1.0
-            prev_t, prev_s = float(tau), int(nxt)
-        occ[prev_s] += t_hor - prev_t
-        hit = np.zeros(d_states)
-        hit[prev_s] = 1.0
-        occ_probs += hit
-        occ_probs2 += hit
-        nj = times.shape[0]
-        jumps_sum += nj
-        jumps_sum2 += nj * nj
-        m = counts - gen.rates * occ[:, None]
-        np.fill_diagonal(m, 0.0)
-        n_sum += counts
-        n_sum2 += counts * counts
-        m_sum += m
-        m_sum2 += m * m
+    for batch in _batches(gen, rc.i0, t_hor, rc.seed, rc.n_paths):
+        counts, m = batch.compensated_counts(gen)
+        # integer-valued sums are exact in any order
+        occ_probs += np.bincount(batch.final_states(), minlength=d_states)
+        jumps_sum += int(batch.counts.sum())
+        jumps_sum2 += int((batch.counts * batch.counts).sum())
+        n_sum += counts.sum(axis=0)
+        n_sum2 += (counts * counts).sum(axis=0)
+        m_sum = _running_sum(m_sum, m)
+        m_sum2 = _running_sum(m_sum2, m * m)
     n = rc.n_paths
     exact = transition_matrix(gen, t_hor)[rc.i0 - 1]
 
@@ -210,7 +192,7 @@ def _cmd_simulate_chain(rc: RunConfig) -> int:
 
     rows = []
     for i in range(d_states):
-        mean, s = se(occ_probs[i], occ_probs2[i])
+        mean, s = se(occ_probs[i], occ_probs[i])  # hit * hit = hit
         rows.append(["prob_state", i + 1, 0, mean, s])
         rows.append(["prob_state_exact", i + 1, 0, float(exact[i]), 0.0])
     mean, s = se(jumps_sum, jumps_sum2)

@@ -51,7 +51,9 @@ from .chain import (
     ChainPath,
     GeneratorMatrix,
     _ChainSampler,
+    _streams,
     path_stream,
+    sample_paths,
 )
 from .control import CompiledPolicy, PolicySpec, _needs_solution, compile_policy
 from .errors import InvalidInitialStateError, NonFiniteSolutionError, TargetMismatchError
@@ -404,7 +406,6 @@ class _RunContext:
         self.seed = seed
         self.grid = _SimGrid(model, n_steps)
         self.tables = _policy_tables(policies, self.grid)
-        self.sampler = _ChainSampler(gen)
         self.accumulate = accumulate
         self.weak2 = "bsde" in accumulate
         self.adj = None
@@ -470,32 +471,22 @@ def _process_block(ctx: _RunContext, lo: int, hi: int, out: _BlockOut) -> float:
     i0_0 = ctx.i0 - 1
 
     # --- chain stage -------------------------------------------------------
-    chains = [
-        ctx.sampler.sample(path_stream(ctx.seed, lo + p, CHAIN_STREAM), i0_0, model.horizon)
-        for p in range(nb)
-    ]
-    counts = np.array([times.shape[0] for times, _ in chains], dtype=np.int64)
-    tau = np.concatenate([times for times, _ in chains])
-    new = np.concatenate([states for _, states in chains])
-    path = np.repeat(np.arange(nb), counts)
-    before = np.empty_like(new)  # state left at each jump
-    before[1:] = new[:-1]
-    before[np.searchsorted(path, path, side="left") == np.arange(path.shape[0])] = i0_0
+    batch = sample_paths(ctx.gen, ctx.i0, model.horizon, ctx.seed, lo, hi)
+    counts, tau, new, before, path = batch.counts, batch.times, batch.new, batch.before, batch.path
     seg, inner = _jump_segments(bounds, tau)
     regimes = _mapped_array((nb, n_seg), np.int16)
     regimes[:] = i0_0
     for p, start, state in zip(path.tolist(), (seg + inner).tolist(), new.tolist()):
         regimes[p, start:] = state
     out.n_jumps[:] = counts
-    out.alpha_final[:] = i0_0 + 1
-    out.alpha_final[counts > 0] = new[np.cumsum(counts)[counts > 0] - 1] + 1
+    out.alpha_final[:] = batch.final_states() + 1
     n_inner = np.bincount(path[inner], minlength=nb)
 
     # --- noise stage -------------------------------------------------------
     z = _mapped_array((nb, n_seg + int(n_inner.max())), np.float64)
-    for p, need in enumerate((n_seg + n_inner).tolist()):
-        rng = path_stream(ctx.seed, lo + p, NOISE_STREAM)
-        rng.standard_normal(out=z[p, :need])
+    needs = (n_seg + n_inner).tolist()
+    for p, rng in enumerate(_streams(ctx.seed, lo, hi, NOISE_STREAM)):
+        rng.standard_normal(out=z[p, :needs[p]])
 
     sub = None
     if inner.any():

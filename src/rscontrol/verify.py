@@ -20,16 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import (
-    CHAIN_STREAM,
-    ChainPath,
-    GeneratorMatrix,
-    _ChainSampler,
-    integrate_rates,
-    path_stream,
-)
+from .chain import GeneratorMatrix, _batches, _running_sum, path_integrals
 from .control import optimal_policy, shift_policy
-from .errors import StateOutOfRangeError
+from .errors import BadIntervalError, StateOutOfRangeError, TimeOutOfRangeError
 from .market import MarketModel, coefficients_at
 from .odes import PhiPsiChiSolution, solve_phi_psi_chi, value_function
 from .simulate import _resolve_policies, _run_blocks
@@ -244,25 +237,12 @@ def check_chain_martingales(
 ) -> list[CheckReport]:
     """E M_ij(T) = 0 for every ordered pair, at three standard errors."""
     d_states = gen.num_states
-    sampler = _ChainSampler(gen)
     sums = np.zeros((d_states, d_states))
     sums2 = np.zeros((d_states, d_states))
-    counts = np.zeros((d_states, d_states))
-    for k in range(n_paths):
-        rng = path_stream(seed, k, CHAIN_STREAM)
-        times, states = sampler.sample(rng, i0 - 1, horizon)
-        occ = np.zeros(d_states)
-        prev_t, prev_s = 0.0, i0 - 1
-        counts[:] = 0.0
-        for tau, nxt in zip(times, states):
-            occ[prev_s] += tau - prev_t
-            counts[prev_s, nxt] += 1.0
-            prev_t, prev_s = float(tau), int(nxt)
-        occ[prev_s] += horizon - prev_t
-        m = counts - gen.rates * occ[:, None]
-        np.fill_diagonal(m, 0.0)
-        sums += m
-        sums2 += m * m
+    for batch in _batches(gen, i0, horizon, seed, n_paths):
+        _, m = batch.compensated_counts(gen)
+        sums = _running_sum(sums, m)
+        sums2 = _running_sum(sums2, m * m)
     reports = []
     for i in range(d_states):
         for j in range(d_states):
@@ -280,6 +260,21 @@ def check_chain_martingales(
                 )
             )
     return reports
+
+
+def _validate_check_times(check_times, horizon: float) -> None:
+    """Check times must increase strictly within (0, horizon].
+
+    The chain is frozen after the horizon, so an increment past it is not an
+    increment of the martingale.
+    """
+    if len(check_times) == 0:
+        raise BadIntervalError("check_times is empty")
+    for t in check_times:
+        if not (0.0 < t <= horizon):
+            raise TimeOutOfRangeError(f"check time {t} outside (0, {horizon}]")
+    if any(b <= a for a, b in zip(check_times[:-1], check_times[1:])):
+        raise BadIntervalError(f"check times must increase strictly, got {list(check_times)}")
 
 
 def check_rs_martingales(
@@ -300,6 +295,10 @@ def check_rs_martingales(
     rate r - theta^2.  Both are Doob martingales of exponential path
     functionals, so E[increment] = 0 between any two check times.
 
+    ``check_times`` must increase strictly within (0, T] (default T/4, T/2,
+    3T/4, T); a time outside raises :class:`TimeOutOfRangeError`, times out
+    of order :class:`BadIntervalError`.
+
     ``reverse_time=True`` evaluates the exponential over [t, T] instead of
     [0, t].  That deliberately breaks the martingale property and exists as
     the suite's negative control.
@@ -307,42 +306,31 @@ def check_rs_martingales(
     t_hor = model.horizon
     if check_times is None:
         check_times = [0.25 * t_hor, 0.5 * t_hor, 0.75 * t_hor, t_hor]
+    _validate_check_times(check_times, t_hor)
     times = [0.0, *check_times]
     theta = model.theta()
     c2 = 2.0 * model.rates - theta * theta
     c1 = model.rates - theta * theta
+    rates = np.stack([c2, c1], axis=-1)
     rows = [sol.interp(t) for t in times]
-    sampler = _ChainSampler(gen)
+    phi = np.array([row[0] for row in rows])
+    psi = np.array([row[1] for row in rows])
+    cols = np.arange(len(times))
     n_inc = len(times) - 1
     inc_sum = np.zeros((2, n_inc))
     inc_sum2 = np.zeros((2, n_inc))
-    for k in range(n_paths):
-        rng = path_stream(seed, k, CHAIN_STREAM)
-        jt, js = sampler.sample(rng, i0 - 1, t_hor)
-        path = ChainPath(
-            initial_state=i0, horizon=t_hor, jump_times=jt, jump_states=js + 1
-        )
-        i2_t = integrate_rates(path, model.breakpoints, c2, t_hor) if reverse_time else 0.0
-        i1_t = integrate_rates(path, model.breakpoints, c1, t_hor) if reverse_time else 0.0
-        prev_r = prev_s = 0.0
-        for m, t in enumerate(times):
-            st = path.state_at(t) - 1
-            i2 = integrate_rates(path, model.breakpoints, c2, t)
-            i1 = integrate_rates(path, model.breakpoints, c1, t)
-            if reverse_time:
-                e2, e1 = math.exp(i2_t - i2), math.exp(i1_t - i1)
-            else:
-                e2, e1 = math.exp(i2), math.exp(i1)
-            phi_row, psi_row, _ = rows[m]
-            r_val = -0.5 * (-0.5 * float(phi_row[st])) * e2
-            s_val = 0.5 * float(psi_row[st]) * e1
-            if m > 0:
-                dr, ds = r_val - prev_r, s_val - prev_s
-                inc_sum[0, m - 1] += dr
-                inc_sum2[0, m - 1] += dr * dr
-                inc_sum[1, m - 1] += ds
-                inc_sum2[1, m - 1] += ds * ds
-            prev_r, prev_s = r_val, s_val
+    for batch in _batches(gen, i0, t_hor, seed, n_paths):
+        st, ints = path_integrals(batch, model.breakpoints, rates, [*times, t_hor])
+        st = st[:, :-1]
+        expo = ints[:, -1:] - ints[:, :-1] if reverse_time else ints[:, :-1]
+        # math.exp elementwise: np.exp rounds differently on some inputs,
+        # which would change the reported statistics
+        e = np.array([math.exp(v) for v in expo.ravel().tolist()]).reshape(expo.shape)
+        r_val = -0.5 * (-0.5 * phi[cols, st]) * e[..., 0]
+        s_val = 0.5 * psi[cols, st] * e[..., 1]
+        inc = np.diff(np.stack([r_val, s_val], axis=1), axis=2)  # (paths, 2, n_inc)
+        inc_sum = _running_sum(inc_sum, inc)
+        inc_sum2 = _running_sum(inc_sum2, inc * inc)
     suffix = "_reversed" if reverse_time else ""
     reports = []
     for row, label in ((0, "R"), (1, "S")):

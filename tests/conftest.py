@@ -7,6 +7,9 @@ sigma=(0.3,0.3), G=[[-1,1],[2,-2]], T=1, x0=1) with target d=1.2 and the
 chain started in regime 1.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -88,6 +91,14 @@ def tworeg_config_dict():
         },
         "output": {"directory": "."},
     }
+
+
+@pytest.fixture(scope="session")
+def fast_config_dict():
+    """The benchmark's fast-switching market: three regimes, exit rates 10-12,
+    two coefficient cells (``perfbench/configs/three_regime_fast.json``)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "three_regime_fast.json"
+    return json.loads(path.read_text())
 
 
 def _chain_terminal_states(gen, i0, horizon, n_paths, seed):

@@ -8,8 +8,17 @@ import math
 import numpy as np
 import pytest
 
-from rscontrol import CheckReport, dual_lambda_golden, optimal_control, value_function
-from rscontrol.cli import main
+import rscontrol.chain
+from rscontrol import (
+    CheckReport,
+    dual_lambda_golden,
+    optimal_control,
+    sample_path,
+    transition_matrix,
+    validate_generator,
+    value_function,
+)
+from rscontrol.cli import _write_csv, main
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -182,6 +191,68 @@ def test_simulate_chain_artifact(cfg, tmp_path):
     for pair in (("1", "2"), ("2", "1")):
         mean, se = table[("mean_M", *pair)]
         assert abs(mean) < 3.0 * se + 1e-12
+
+
+def _reference_simulate_chain(cfg, out_path):
+    """simulate-chain.csv from a per-path loop over sample_path."""
+    gen = validate_generator(cfg["generator"])
+    t_hor = cfg["market"]["horizon"]
+    i0 = cfg["problem"].get("initial_state", 1)
+    n, seed = cfg["numerics"]["n_paths"], cfg["numerics"]["seed"]
+    d = gen.num_states
+    occ_probs = np.zeros(d)
+    jumps_sum = jumps_sum2 = 0.0
+    n_sum, n_sum2, m_sum, m_sum2 = (np.zeros((d, d)) for _ in range(4))
+    for k in range(n):
+        path = sample_path(gen, i0, t_hor, seed, k)
+        occ = np.zeros(d)
+        counts = np.zeros((d, d))
+        prev_t, prev_s = 0.0, i0 - 1
+        for tau, nxt in zip(path.jump_times, path.jump_states - 1):
+            occ[prev_s] += tau - prev_t
+            counts[prev_s, nxt] += 1.0
+            prev_t, prev_s = float(tau), int(nxt)
+        occ[prev_s] += t_hor - prev_t
+        occ_probs[prev_s] += 1.0
+        jumps_sum += path.n_jumps
+        jumps_sum2 += path.n_jumps * path.n_jumps
+        m = counts - gen.rates * occ[:, None]
+        np.fill_diagonal(m, 0.0)
+        n_sum += counts
+        n_sum2 += counts * counts
+        m_sum += m
+        m_sum2 += m * m
+
+    def se(total, total2):
+        mean = total / n
+        return mean, math.sqrt(max(total2 / n - mean * mean, 0.0) / n)
+
+    exact = transition_matrix(gen, t_hor)[i0 - 1]
+    rows = []
+    for i in range(d):
+        rows.append(["prob_state", i + 1, 0, *se(occ_probs[i], occ_probs[i])])
+        rows.append(["prob_state_exact", i + 1, 0, float(exact[i]), 0.0])
+    rows.append(["mean_jumps", 0, 0, *se(jumps_sum, jumps_sum2)])
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                rows.append(["mean_N", i + 1, j + 1, *se(n_sum[i, j], n_sum2[i, j])])
+                rows.append(["mean_M", i + 1, j + 1, *se(m_sum[i, j], m_sum2[i, j])])
+    _write_csv(out_path, ["name", "i", "j", "value", "std_error"], rows)
+
+
+@pytest.mark.parametrize("market", ["two_regime", "three_regime_fast"])
+def test_simulate_chain_matches_per_path_reference(cfg, tmp_path, monkeypatch, market, fast_config_dict):
+    monkeypatch.setattr(rscontrol.chain, "_BATCH", 700)  # several batches
+    if market == "three_regime_fast":
+        cfg.update(market=fast_config_dict["market"], generator=fast_config_dict["generator"])
+    cfg["numerics"].update(n_paths=2500, seed=19)
+    for i0 in range(1, len(cfg["generator"]) + 1):
+        cfg["problem"]["initial_state"] = i0
+        assert main(["simulate-chain", _write_config(tmp_path, cfg)]) == 0
+        _reference_simulate_chain(cfg, tmp_path / "reference.csv")
+        got = (tmp_path / "out" / "simulate-chain.csv").read_bytes()
+        assert got == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_frontier_artifact(cfg, tmp_path, tworeg_market, tworeg_gen):
