@@ -21,19 +21,17 @@ the scalar and the vectorized simulation paths evaluate the same expression
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .market import MarketModel, ProblemSpec, coefficients_at
+from .market import MarketModel, coefficients_at
 from .odes import PhiPsiChiSolution
 
 __all__ = [
     "AdjointTriple",
     "PolicySpec",
     "CompiledPolicy",
-    "hamiltonian",
     "lq_hamiltonian",
     "optimal_control",
     "adjoint_closed_form",
@@ -46,43 +44,6 @@ __all__ = [
     "standard_perturbations",
     "compile_policy",
 ]
-
-
-def hamiltonian(
-    t: float,
-    x,
-    u,
-    i: int,
-    p,
-    q,
-    problem: ProblemSpec,
-    drift: Callable,
-    diffusion: Callable,
-) -> float:
-    """H = f(t,x,u,i) + b(t,x,u,i)^T p + tr(sigma(t,x,u,i)^T q).
-
-    ``x`` and ``p`` are state-dimension vectors, ``u`` a control vector and
-    ``q`` an (N, N) matrix; scalars are accepted for one-dimensional problems.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    p = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-    n, m = problem.state_dim, problem.control_dim
-    if x.shape != (n,) or p.shape != (n,):
-        raise DimensionMismatchError(f"x and p must have shape ({n},), got {x.shape}, {p.shape}")
-    if u.shape != (m,):
-        raise DimensionMismatchError(f"u must have shape ({m},), got {u.shape}")
-    if q.shape != (n, n):
-        raise DimensionMismatchError(f"q must have shape ({n}, {n}), got {q.shape}")
-    b = np.atleast_1d(np.asarray(drift(t, x, u, i), dtype=np.float64))
-    sig = np.atleast_2d(np.asarray(diffusion(t, x, u, i), dtype=np.float64))
-    if b.shape != (n,):
-        raise DimensionMismatchError(f"drift must return shape ({n},), got {b.shape}")
-    if sig.shape != (n, n):
-        raise DimensionMismatchError(f"diffusion must return shape ({n}, {n}), got {sig.shape}")
-    f = float(problem.running_cost(t, x if n > 1 else float(x[0]), u if m > 1 else float(u[0]), i))
-    return f + float(b @ p) + float(np.sum(sig * q))
 
 
 def lq_hamiltonian(model: MarketModel, t: float, x: float, u: float, i: int, p: float, q: float) -> float:

@@ -17,7 +17,6 @@ cell left endpoints and the gap vanishes with the step size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,11 +31,9 @@ from .errors import (
 
 __all__ = [
     "MarketModel",
-    "ProblemSpec",
     "make_market",
     "load_market",
     "coefficients_at",
-    "quadratic_loss_problem",
 ]
 
 _TIME_TOL = 1e-12
@@ -184,32 +181,3 @@ def load_market(config: dict) -> MarketModel:
                 f"generator is {gen.num_states}x{gen.num_states}"
             )
     return model
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Control problem data: running cost f and terminal reward h.
-
-    The objective is J(u) = E[ integral_0^T f(t, X, u, alpha) dt + h(X(T)) ],
-    to be maximized.  ``terminal_gradient`` is dh/dx, used as the terminal
-    condition of the adjoint equation.
-    """
-
-    state_dim: int
-    control_dim: int
-    running_cost: Callable[[float, float, float, int], float]
-    terminal_reward: Callable[[float], float]
-    terminal_gradient: Callable[[float], float]
-    target: float | None = None  # quadratic-loss target d, when applicable
-
-
-def quadratic_loss_problem(d: float) -> ProblemSpec:
-    """Quadratic loss around a target: f = 0, h(x) = -(x - d)^2."""
-    return ProblemSpec(
-        state_dim=1,
-        control_dim=1,
-        running_cost=lambda t, x, u, i: 0.0,
-        terminal_reward=lambda x: -((x - d) ** 2),
-        terminal_gradient=lambda x: -2.0 * (x - d),
-        target=float(d),
-    )

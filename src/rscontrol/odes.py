@@ -101,10 +101,8 @@ class PhiPsiChiSolution:
         phi, psi, chi = self.interp(t)
         c2, c1, th2 = _exponent_rates(self.model, self.model.cell_index(t))
         g = self.gen.rates
-        phi_t = -(c2 * phi + _gen_apply(g, phi))
-        psi_t = -(c1 * psi + _gen_apply(g, psi))
-        chi_t = 0.5 * th2 * psi * psi / phi - _gen_apply(g, chi)
-        return phi_t, psi_t, chi_t
+        phi_t, psi_t = _slopes(c2, c1, phi, psi, _gen_apply(g, phi), _gen_apply(g, psi))
+        return phi_t, psi_t, _chi_slope(th2, phi, psi, _gen_apply(g, chi))
 
 
 def _gen_apply(g: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -117,11 +115,42 @@ def _gen_apply(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _exponent_rates(model: MarketModel, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-regime (2r - theta^2, r - theta^2, theta^2) on coefficient cell k (or cells k)."""
+    """Per-regime (2r - theta^2, r - theta^2, theta^2) on coefficient cell k.
+
+    ``k`` may also be an array of cells or a slice; the result then has one
+    row per cell.  Every exponent rate in the package is built here.
+    """
     r = model.rates[k]
     th = (model.drifts[k] - model.rates[k]) / model.vols[k]
     th2 = th * th
     return 2.0 * r - th2, r - th2, th2
+
+
+def _slopes(c2, c1, phi, psi, gphi, gpsi):
+    """(phi_t, psi_t) from the linear backward systems, given the rows G phi and G psi."""
+    return -(c2 * phi + gphi), -(c1 * psi + gpsi)
+
+
+def _chi_slope(th2, phi, psi, gchi):
+    """chi_t from its backward equation, given the row G chi."""
+    return 0.5 * th2 * psi * psi / phi - gchi
+
+
+def _value(phi, psi, chi, x):
+    """V = phi x^2 / 2 + psi x + chi from rows (or entries) of the triple."""
+    return 0.5 * phi * x * x + psi * x + chi
+
+
+def _propagate(g: np.ndarray, rates, lengths, terminal: np.ndarray) -> list[np.ndarray]:
+    """Backward semigroup products v_k = exp((G + diag c_k) dt_k) v_{k+1}, v_n = terminal.
+
+    ``rates`` (n rows of D) and the n ``lengths`` describe n consecutive
+    pieces of constant exponent rate; returns [v_0, ..., v_n].
+    """
+    v = [terminal]
+    for k in range(len(lengths) - 1, -1, -1):
+        v.append(expm((g + np.diag(rates[k])) * lengths[k]) @ v[-1])
+    return v[::-1]
 
 
 def solve_phi_psi_chi(
@@ -157,9 +186,8 @@ def solve_phi_psi_chi(
 
     def rhs(y: np.ndarray, c2: np.ndarray, c1: np.ndarray, th2: np.ndarray) -> np.ndarray:
         f = np.empty_like(y)
-        f[0] = -(c2 * y[0] + g @ y[0])
-        f[1] = -(c1 * y[1] + g @ y[1])
-        f[2] = 0.5 * th2 * y[1] * y[1] / y[0] - g @ y[2]
+        f[0], f[1] = _slopes(c2, c1, y[0], y[1], g @ y[0], g @ y[1])
+        f[2] = _chi_slope(th2, y[0], y[1], g @ y[2])
         return f
 
     y = np.stack([phi[-1], psi[-1], chi[-1]])
@@ -219,26 +247,21 @@ def feynman_kac_oracle(
         raise BadIntervalError(
             f"[{t_from}, {t_to}] outside the table span [{breakpoints[0]}, {breakpoints[-1]}]"
         )
-    g = gen.rates
-    v = np.ones(gen.num_states)
-    for k in range(cell_rates.shape[0] - 1, -1, -1):
+    rates, lengths = [], []  # the cells meeting [t_from, t_to] and their overlaps
+    for k in range(cell_rates.shape[0]):
         a = max(float(breakpoints[k]), t_from)
         b = min(float(breakpoints[k + 1]), t_to)
-        if b <= a:
-            continue
-        v = expm((g + np.diag(cell_rates[k])) * (b - a)) @ v
-    return v
+        if b > a:
+            rates.append(cell_rates[k])
+            lengths.append(b - a)
+    return _propagate(gen.rates, rates, lengths, np.ones(gen.num_states))[0]
 
 
 def phi_psi_from_oracle(
     model: MarketModel, gen: GeneratorMatrix, d: float, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(phi, psi) rows at time t via the semigroup representation."""
-    k_cells = model.num_cells
-    c2 = np.empty((k_cells, model.num_states))
-    c1 = np.empty((k_cells, model.num_states))
-    for k in range(k_cells):
-        c2[k], c1[k], _ = _exponent_rates(model, k)
+    c2, c1, _ = _exponent_rates(model, slice(None))  # every cell
     horizon = float(model.breakpoints[-1])
     phi = -2.0 * feynman_kac_oracle(gen, model.breakpoints, c2, t, horizon)
     psi = 2.0 * d * feynman_kac_oracle(gen, model.breakpoints, c1, t, horizon)
@@ -251,4 +274,4 @@ def value_function(sol: PhiPsiChiSolution, t: float, x: float, i: int) -> float:
         raise StateOutOfRangeError(f"state {i} outside 1..{sol.num_states}")
     phi, psi, chi = sol.interp(t)
     j = i - 1
-    return float(0.5 * phi[j] * x * x + psi[j] * x + chi[j])
+    return float(_value(phi[j], psi[j], chi[j], x))

@@ -19,6 +19,18 @@ stepped again for all of its jumping paths, ordinal by ordinal, with the
 full-segment step's elementwise expressions.  Those give the same bits on
 arrays as on scalars, so every path matches :func:`simulate_wealth`.
 
+A run may also accumulate per-path sums for the verification suite: the
+adjoint BSDE residual (``bsde``), the Dynkin integral of Gamma V
+(``dynkin``) and the three integrability integrands (``integrability``).
+Each per-cell formula is written once and evaluated on full segments and on
+sub-cells alike; only their rows differ in source (per-segment tables at
+grid nodes, the solved triple or cubic Hermite rows at jump times).  The
+BSDE residual alone keeps two forms that round differently: the collapsed
+affine form on full segments (a speed choice) and the explicit trapezoid on
+sub-cells.  A split path's full-segment contributions are replaced by the
+sum of its sub-cell contributions.  The adjoint rows at grid nodes come from
+one matrix exponential per segment (:func:`rscontrol.odes._propagate`).
+
 Reproducibility contract: path k under master seed s draws its chain from
 Philox stream (s, 2k) and its Brownian increments from stream (s, 2k+1).
 Noise therefore depends only on (seed, path index, chain path), never on the
@@ -43,7 +55,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chain import (
     CHAIN_STREAM,
@@ -56,9 +67,23 @@ from .chain import (
     sample_paths,
 )
 from .control import CompiledPolicy, PolicySpec, _needs_solution, compile_policy
-from .errors import InvalidInitialStateError, NonFiniteSolutionError, TargetMismatchError
+from .errors import (
+    InvalidInitialStateError,
+    NonFiniteSolutionError,
+    TargetMismatchError,
+    TimeOutOfRangeError,
+    ValidationError,
+)
 from .market import MarketModel
-from .odes import PhiPsiChiSolution, _gen_apply, solve_phi_psi_chi
+from .odes import (
+    PhiPsiChiSolution,
+    _exponent_rates,
+    _gen_apply,
+    _propagate,
+    _slopes,
+    _value,
+    solve_phi_psi_chi,
+)
 
 __all__ = [
     "McEstimate",
@@ -137,6 +162,7 @@ class _SimGrid:
         self.sig_seg = model.vols[self.cell_of_seg]
         theta = (model.drifts - model.rates) / model.vols
         self.th_seg = theta[self.cell_of_seg]
+        self.c2_seg, self.c1_seg, self.th2_seg = _exponent_rates(model, self.cell_of_seg)
 
 
 def _policy_tables(policies: list[CompiledPolicy], grid: _SimGrid):
@@ -144,73 +170,71 @@ def _policy_tables(policies: list[CompiledPolicy], grid: _SimGrid):
     return [pol.coeffs(grid.bounds[:-1]) if pol.is_affine else None for pol in policies]
 
 
-def _semigroup_tables(model: MarketModel, gen: GeneratorMatrix, d: float, grid: _SimGrid):
-    """phi and psi at every grid bound by exact per-segment propagation.
+def _eta_quadratic(g: np.ndarray, phi: np.ndarray, psi: np.ndarray):
+    """Per row, (A2, A1, A0) with sum_j g_ij eta_ij^2 = A2 x^2 + A1 x + A0.
 
-    Within a segment the exponent rates are constant, so stepping the
-    semigroup with one matrix exponential per segment evaluates the backward
-    systems at machine precision on the simulation nodes.
+    eta_ij = (phi_j - phi_i) x + psi_j - psi_i is the jump of p_hat when the
+    chain moves from i to j.
     """
-    g = gen.rates
-    n, ds = grid.n_seg, model.num_states
-    theta = (model.drifts - model.rates) / model.vols
-    c2 = 2.0 * model.rates - theta * theta
-    c1 = model.rates - theta * theta
-    phi = np.empty((n + 1, ds))
-    psi = np.empty((n + 1, ds))
-    phi[n] = -2.0
-    psi[n] = 2.0 * d
-    for s in range(n - 1, -1, -1):
-        k = grid.cell_of_seg[s]
-        dt = grid.lens[s]
-        phi[s] = expm((g + np.diag(c2[k])) * dt) @ phi[s + 1]
-        psi[s] = expm((g + np.diag(c1[k])) * dt) @ psi[s + 1]
-    return phi, psi
+    dphi = phi[:, None, :] - phi[:, :, None]  # [n, i, j] = phi_j - phi_i
+    dpsi = psi[:, None, :] - psi[:, :, None]
+    return (
+        np.sum(g * dphi * dphi, axis=2),
+        2.0 * np.sum(g * dphi * dpsi, axis=2),
+        np.sum(g * dpsi * dpsi, axis=2),
+    )
+
+
+def _weak_drift(c1, th2, phi, psi, phi_t, psi_t):
+    """wa of the optimal policy's second-order drift correction (wa + wb x) dt^2.
+
+    The Euler update's conditional mean is exact only to O(dt^2), which
+    leaves a deterministic O(dt) bias in summed martingale residuals -- far
+    above Monte Carlo resolution.  Adding (wa + wb*x)*dt^2, with wb =
+    (r - theta^2)^2 / 2, makes the mean flow third-order accurate, pushing
+    the summed bias to O(dt^2).  Rows are taken at the cell's left edge.
+    """
+    rho = psi / phi
+    rho_t = (psi_t * phi - psi * phi_t) / (phi * phi)
+    return -0.5 * th2 * (rho_t + c1 * rho)
 
 
 class _AdjointTables:
     """Per-bound adjoint ingredients for the residual accumulators."""
 
-    def __init__(self, model, gen, d, grid: _SimGrid):
+    def __init__(self, gen, d, grid: _SimGrid):
         g = gen.rates
-        self.phi, self.psi = _semigroup_tables(model, gen, d, grid)
+        n_states = grid.r_seg.shape[1]
+        # The exponent rates are constant within a segment, so one matrix
+        # exponential per segment evaluates the backward systems at machine
+        # precision on the simulation nodes.
+        self.phi = np.array(_propagate(g, grid.c2_seg, grid.lens, np.full(n_states, -2.0)))
+        self.psi = np.array(_propagate(g, grid.c1_seg, grid.lens, np.full(n_states, 2.0 * d)))
         self.gphi = self.phi @ g.T
         self.gpsi = self.psi @ g.T
-        # eta quadratic contractions: sum_j g_ij eta_ij^2 = A2 x^2 + A1 x + A0
-        dphi = self.phi[:, None, :] - self.phi[:, :, None]  # [s, i, j] = phi_j - phi_i
-        dpsi = self.psi[:, None, :] - self.psi[:, :, None]
-        w = g[None, :, :]
-        self.qa2 = np.einsum("sij,sij->si", w * dphi, dphi)
-        self.qa1 = 2.0 * np.einsum("sij,sij->si", w * dphi, dpsi)
-        self.qa0 = np.einsum("sij,sij->si", w * dpsi, dpsi)
-        # Second-order drift correction for the optimal policy: the Euler
-        # update's conditional mean is exact only to O(dt^2), which leaves a
-        # deterministic O(dt) bias in summed martingale residuals -- far above
-        # Monte Carlo resolution.  Adding (wa + wb*x)*dt^2 makes the mean flow
-        # third-order accurate, pushing the summed bias to O(dt^2).
-        r_s, th_s = grid.r_seg, grid.th_seg
+        self.integ_rows = (self.phi, self.psi, *_eta_quadratic(g, self.phi, self.psi))
+        # slopes at both ends of each segment, in the segment's rates
+        rates = grid.c2_seg, grid.c1_seg
         phi_l, psi_l = self.phi[:-1], self.psi[:-1]
-        c2s, c1s = 2.0 * r_s - th_s * th_s, r_s - th_s * th_s
-        self.phi_tl = -c2s * phi_l - self.gphi[:-1]
-        self.psi_tl = -c1s * psi_l - self.gpsi[:-1]
-        self.phi_tr = -c2s * self.phi[1:] - self.gphi[1:]
-        self.psi_tr = -c1s * self.psi[1:] - self.gpsi[1:]
-        rho = psi_l / phi_l
-        rho_t = (self.psi_tl * phi_l - psi_l * self.phi_tl) / (phi_l * phi_l)
-        th2 = th_s * th_s
-        self.wa = -0.5 * th2 * (rho_t + (r_s - th2) * rho)
-        self.wb = 0.5 * (r_s - th2) ** 2
+        self.phi_tl, self.psi_tl = _slopes(*rates, phi_l, psi_l, self.gphi[:-1], self.gpsi[:-1])
+        self.phi_tr, self.psi_tr = _slopes(*rates, self.phi[1:], self.psi[1:], self.gphi[1:], self.gpsi[1:])
+        self.wa = _weak_drift(grid.c1_seg, grid.th2_seg, phi_l, psi_l, self.phi_tl, self.psi_tl)
+        self.wb = 0.5 * grid.c1_seg**2
         # Collapsed per-cell residual coefficients: apart from the
         # martingale-increment term, the trapezoid residual of one cell is
         # affine in (x_s, x_{s+1}), so three gathered rows replace the full
         # term-by-term evaluation in the hot loop.
+        r_s = grid.r_seg
         half = 0.5 * grid.lens[:, None]
         b0, b1 = psi_l, self.psi[1:]
         c0, c1 = self.gphi[:-1], self.gphi[1:]
         d0, d1 = self.gpsi[:-1], self.gpsi[1:]
-        self.rl0 = (b1 - b0) + half * (r_s * (b0 + b1) + d0 + d1)
-        self.rl1 = -phi_l + half * (r_s * phi_l + c0)
-        self.rl2 = self.phi[1:] + half * (r_s * self.phi[1:] + c1)
+        self.bsde_rows = (
+            (b1 - b0) + half * (r_s * (b0 + b1) + d0 + d1),
+            -phi_l + half * (r_s * phi_l + c0),
+            self.phi[1:] + half * (r_s * self.phi[1:] + c1),
+            self.phi,
+        )
         self.bounds = grid.bounds
         self.g = g
 
@@ -243,10 +267,87 @@ class _ValueTables:
     def __init__(self, gen, grid: _SimGrid, sol: PhiPsiChiSolution):
         g = gen.rates
         self.phi, self.psi, self.chi = sol.interp(grid.bounds)
-        self.phi_t, self.psi_t, self.chi_t = sol.derivatives(grid.bounds[:-1])
-        self.gphi = self.phi @ g.T
-        self.gpsi = self.psi @ g.T
-        self.gchi = self.chi @ g.T
+        phi_t, psi_t, chi_t = sol.derivatives(grid.bounds[:-1])
+        # the rows of Gamma V, in the order _dynkin_integrand takes them
+        self.rows = (
+            self.phi, self.psi, phi_t, psi_t, chi_t, self.phi @ g.T, self.psi @ g.T, self.chi @ g.T,
+        )
+
+
+# ---------------------------------------------------------------------------
+# per-cell formulas, shared by full segments and jump sub-cells
+# ---------------------------------------------------------------------------
+
+# rows of a block's per-path sums
+_BSDE, _BSDE_SQ, _DYNKIN = 0, 1, 2
+_INTEG = (3, 4, 5)
+_N_SUMS = 6
+
+
+def _bsde_collapsed(rows, x0, x1, u, sg, dw):
+    """Adjoint BSDE residual of a full segment: rl0 + rl1 x0 + rl2 x1 - q_hat dW."""
+    rl0, rl1, rl2, phi = rows
+    return rl0 + rl1 * x0 + rl2 * x1 - phi * sg * u * dw
+
+
+def _bsde_trapezoid(rows, jump_right, x0, x1, u, r, sg, dt, dw):
+    """Adjoint BSDE residual of a sub-cell, term by term (trapezoid in time).
+
+    It rounds differently from the collapsed form, so the two stay separate.
+    """
+    pa, sa, gpa, gsa, pb, sb, gpb, gsb, pb_after, sb_after = rows
+    p0 = pa * x0 + sa
+    p1 = pb * x1 + sb
+    qh = pa * sg * u
+    eg0 = x0 * gpa + gsa
+    eg1 = x1 * gpb + gsb
+    res = (p1 - p0) + 0.5 * (r * p0 + r * p1) * dt - qh * dw + 0.5 * (eg0 + eg1) * dt
+    # a jump at the right edge: p_hat's jump minus eta cancels up to rounding
+    jump_dp = (pb_after * x1 + sb_after) - p1
+    eta = x1 * (pb_after - pb) + (sb_after - sb)
+    return np.where(jump_right, res + (jump_dp - eta), res)
+
+
+def _dynkin_integrand(x, u, r, sg, th, rows):
+    """Gamma V at the cell's left edge, for the control u."""
+    phi, psi, phi_t, psi_t, chi_t, gphi, gpsi, gchi = rows
+    return (
+        0.5 * phi_t * x * x + psi_t * x + chi_t + (r * x + u * sg * th) * (phi * x + psi)
+        + 0.5 * u * u * sg * sg * phi + 0.5 * gphi * x * x + gpsi * x + gchi
+    )
+
+
+def _integrability_terms(xh, xa, uh, ua, sg, dt, rows):
+    """The three integrability integrands of the optimal (h) against the comparison (a) path, times dt."""
+    phi, psi, q2, q1, q0 = rows
+    ph = phi * xh + psi
+    gap_u = (uh - ua) * sg
+    gap_x = xh - xa
+    qh = phi * sg * uh
+    eta_q = q2 * xh * xh + q1 * xh + q0
+    return (
+        gap_u * gap_u * ph * ph * dt,
+        qh * qh * gap_x * gap_x * dt,
+        gap_x * gap_x * eta_q * dt,
+    )
+
+
+def _cell_terms(res, x, u, r, sg, th, dt, dyn_rows, integ_rows):
+    """(sum row, per-path contribution) pairs of one cell for the tracked sums.
+
+    ``res`` is the cell's BSDE residual (None if untracked), ``x`` and ``u``
+    the wealth and controls of each policy at the cell's left edge, and
+    ``dyn_rows``/``integ_rows`` the cell's rows for those sums (None if
+    untracked).
+    """
+    terms = []
+    if res is not None:
+        terms += [(_BSDE, res), (_BSDE_SQ, res * res)]
+    if dyn_rows is not None:
+        terms.append((_DYNKIN, _dynkin_integrand(x[0], u[0], r, sg, th, dyn_rows) * dt))
+    if integ_rows is not None:
+        terms += zip(_INTEG, _integrability_terms(x[0], x[1], u[0], u[1], sg, dt, integ_rows))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +421,10 @@ class _SubCells:
             for pol, tab in zip(ctx.policies, ctx.tables)
         ]
 
-        acc = ctx.accumulate
-        self.part = np.zeros((6, z.shape[0])) if acc else None  # per-path sub-cell sums
+        # per-path sums over the sub-cells of one segment
+        self.part = np.zeros((_N_SUMS, z.shape[0])) if ctx.accumulate else None
         sol, g = ctx.sol, ctx.gen.rates
-        if "bsde" in acc:
+        if ctx.bsde:
             adj = ctx.adj
             hphi, hpsi, hgphi, hgpsi = adj.hermite_rows(seg, tau)
             after = cat([new[heads], new[nxt]])[order]  # regime past the right edge
@@ -335,36 +436,19 @@ class _SubCells:
                 self.right(adj.gphi, hgphi, st), self.right(adj.gpsi, hgpsi, st),
                 self.right(adj.phi, hphi, after), self.right(adj.psi, hpsi, after),
             )
-            # second-order drift correction (_AdjointTables) from the rows
-            # at each jump-opened sub-cell's left edge
-            r, th2 = self.r, self.th * self.th
-            phit = -(2.0 * r - th2) * pa - gpa
-            psit = -(r - th2) * sa - gsa
-            rho = sa / pa
-            rho_t = (psit * pa - sa * phit) / (pa * pa)
-            wa = -0.5 * th2 * (rho_t + (r - th2) * rho)
-            self.wa = np.where(self.lj < 0, adj.wa[s, st], wa)
+            # the drift correction from the rows at each sub-cell's left edge
+            c2, c1 = grid.c2_seg[s, st], grid.c1_seg[s, st]
+            self.wa = _weak_drift(c1, grid.th2_seg[s, st], pa, sa, *_slopes(c2, c1, pa, sa, gpa, gsa))
             self.wb = adj.wb[s, st]  # depends on the cell and regime only
-        if "dynkin" in acc:
-            val = ctx.val
+        if ctx.dynkin or ctx.integ:
             phi, psi, chi = sol.interp(tau)
-            rows = (phi, psi, chi, *sol.derivatives(tau),
+        if ctx.dynkin:
+            rows = (phi, psi, *sol.derivatives(tau),
                     _gen_apply(g, phi), _gen_apply(g, psi), _gen_apply(g, chi))
-            tables = (val.phi, val.psi, val.chi, val.phi_t, val.psi_t, val.chi_t,
-                      val.gphi, val.gpsi, val.gchi)
-            self.dyn = tuple(self.left(tab, row) for tab, row in zip(tables, rows))
-        if "integrability" in acc:
-            adj = ctx.adj
-            phi, psi, _ = sol.interp(tau)
-            dphi = phi[:, None, :] - phi[:, :, None]  # [n, i, j] = phi_j - phi_i
-            dpsi = psi[:, None, :] - psi[:, :, None]
-            self.integ = (
-                self.left(adj.phi, phi),
-                self.left(adj.psi, psi),
-                self.left(adj.qa2, np.sum(g * dphi * dphi, axis=2)),
-                self.left(adj.qa1, 2.0 * np.sum(g * dphi * dpsi, axis=2)),
-                self.left(adj.qa0, np.sum(g * dpsi * dpsi, axis=2)),
-            )
+            self.dyn = tuple(self.left(tab, row) for tab, row in zip(ctx.val.rows, rows))
+        if ctx.integ:
+            rows = (phi, psi, *_eta_quadratic(g, phi, psi))
+            self.integ = tuple(self.left(tab, row) for tab, row in zip(ctx.adj.integ_rows, rows))
 
     def left(self, at_bounds, at_jumps):
         """Per sub-cell, in its regime: the row of its segment's left node in
@@ -407,13 +491,15 @@ class _RunContext:
         self.grid = _SimGrid(model, n_steps)
         self.tables = _policy_tables(policies, self.grid)
         self.accumulate = accumulate
-        self.weak2 = "bsde" in accumulate
+        self.bsde = "bsde" in accumulate
+        self.dynkin = "dynkin" in accumulate
+        self.integ = "integrability" in accumulate
         self.adj = None
         self.val = None
         self.t_end_idx = None
-        if "bsde" in accumulate or "integrability" in accumulate:
-            self.adj = _AdjointTables(model, gen, d, self.grid)
-        if self.weak2 and policies and policies[0].spec.kind == "optimal":
+        if self.bsde or self.integ:
+            self.adj = _AdjointTables(gen, d, self.grid)
+        if self.bsde and policies and policies[0].spec.kind == "optimal":
             # Feed the residual run the same phi/psi representation in the
             # control as in the coefficient rows.  The ODE interpolant is
             # only solver-tolerance accurate; the ~1e-9 control offset it
@@ -423,28 +509,16 @@ class _RunContext:
             c1 = -th / sg
             c0 = c1 * (self.adj.psi[:-1] / self.adj.phi[:-1])
             self.tables[0] = (c0, c1)
-        if "dynkin" in accumulate:
-            self.val = _ValueTables(gen, self.grid, sol)
+        if self.dynkin:
+            if not (-1e-12 <= t_end <= model.horizon + 1e-12):
+                raise TimeOutOfRangeError(f"t_end={t_end} outside [0, {model.horizon}]")
             idx = np.nonzero(np.abs(self.grid.bounds - t_end) <= 1e-12)[0]
             if idx.shape[0] == 0:
-                raise ValueError(f"t_end={t_end} is not a grid node")
+                raise ValidationError(f"t_end={t_end} is not a grid node")
             self.t_end_idx = int(idx[0])
+            self.val = _ValueTables(gen, self.grid, sol)
         self.d = d
         self.sol = sol
-
-
-class _BlockOut:
-    """Per-block slices of the run outputs (views into shared arrays)."""
-
-    def __init__(self, arts: "_RunArtifacts", lo: int, hi: int):
-        self.x_final = arts.x_final[:, lo:hi]
-        self.alpha_final = arts.alpha_final[lo:hi]
-        self.n_jumps = arts.n_jumps[lo:hi]
-        self.bsde_sum = None if arts.bsde_sum is None else arts.bsde_sum[lo:hi]
-        self.bsde_sq = None if arts.bsde_sq is None else arts.bsde_sq[lo:hi]
-        self.dynkin_int = None if arts.dynkin_int is None else arts.dynkin_int[lo:hi]
-        self.dynkin_vend = None if arts.dynkin_vend is None else arts.dynkin_vend[lo:hi]
-        self.integ = None if arts.integ is None else arts.integ[:, lo:hi]
 
 
 @dataclass
@@ -461,7 +535,8 @@ class _RunArtifacts:
     integ: np.ndarray | None = None  # (3, n_paths)
 
 
-def _process_block(ctx: _RunContext, lo: int, hi: int, out: _BlockOut) -> float:
+def _process_block(ctx: _RunContext, lo: int, hi: int, arts: _RunArtifacts) -> float:
+    """Simulate paths lo..hi-1 into their slices of ``arts``; returns the BSDE terminal gap."""
     grid = ctx.grid
     model = ctx.model
     bounds, lens, sqrt_lens = grid.bounds, grid.lens, grid.sqrt_lens
@@ -478,8 +553,9 @@ def _process_block(ctx: _RunContext, lo: int, hi: int, out: _BlockOut) -> float:
     regimes[:] = i0_0
     for p, start, state in zip(path.tolist(), (seg + inner).tolist(), new.tolist()):
         regimes[p, start:] = state
-    out.n_jumps[:] = counts
-    out.alpha_final[:] = batch.final_states() + 1
+    alpha_final = batch.final_states()  # 0-based
+    arts.n_jumps[lo:hi] = counts
+    arts.alpha_final[lo:hi] = alpha_final + 1
     n_inner = np.bincount(path[inner], minlength=nb)
 
     # --- noise stage -------------------------------------------------------
@@ -494,20 +570,8 @@ def _process_block(ctx: _RunContext, lo: int, hi: int, out: _BlockOut) -> float:
 
     # --- Euler stage -------------------------------------------------------
     x = [np.full(nb, ctx.x0) for _ in range(n_pol)]
-    acc = ctx.accumulate
-    want_bsde = "bsde" in acc and out.bsde_sum is not None
-    want_dyn = "dynkin" in acc and out.dynkin_int is not None
-    want_integ = "integrability" in acc and out.integ is not None
-    if want_bsde:
-        res = np.zeros(nb)
-        res_sq = np.zeros(nb)
-        adj = ctx.adj
-    if want_dyn:
-        dint = np.zeros(nb)
-        val = ctx.val
-    if want_integ:
-        integ = np.zeros((3, nb))
-        adj = ctx.adj
+    sums = np.zeros((_N_SUMS, nb)) if ctx.accumulate else None
+    adj, val = ctx.adj, ctx.val
 
     # The regime and draw matrices are path-major, so reading one segment's
     # column would touch one cache line per path; transposing a chunk at a
@@ -538,108 +602,67 @@ def _process_block(ctx: _RunContext, lo: int, hi: int, out: _BlockOut) -> float:
                     u = ctx.policies[k_pol].eval_vector(t0, x[k_pol], reg)
                 us.append(u)
                 xn.append(_euler_step(x[k_pol], u, r_v, sg_v, th_v, dt, dw))
-            if ctx.weak2:
-                xn[0] = xn[0] + (ctx.adj.wa[s][reg] + ctx.adj.wb[s][reg] * x[0]) * (dt * dt)
+            if ctx.bsde:
+                xn[0] = xn[0] + (adj.wa[s][reg] + adj.wb[s][reg] * x[0]) * (dt * dt)
+            if s == ctx.t_end_idx:
+                x_end = x[0]
 
             split = None if sub is None else sub.groups.get(s)
-            mask = None
-            if split is not None and acc:
-                # split paths contribute their sub-cell sums instead
-                mask = np.ones(nb)
-                mask[sub.path[split[0]]] = 0.0
-
-            if want_bsde:
-                qhat = adj.phi[s][reg] * sg_v * us[0]
-                contrib = adj.rl0[s][reg] + adj.rl1[s][reg] * x[0] + adj.rl2[s][reg] * xn[0] - qhat * dw
-                if mask is not None:
-                    contrib = contrib * mask
-                res += contrib
-                res_sq += contrib * contrib
-            if want_dyn and s < ctx.t_end_idx:
-                x0v, u0 = x[0], us[0]
-                vph = val.phi[s][reg]
-                gv = (
-                    0.5 * val.phi_t[s][reg] * x0v * x0v
-                    + val.psi_t[s][reg] * x0v
-                    + val.chi_t[s][reg]
-                    + (r_v * x0v + u0 * sg_v * th_v) * (vph * x0v + val.psi[s][reg])
-                    + 0.5 * u0 * u0 * sg_v * sg_v * vph
-                    + 0.5 * val.gphi[s][reg] * x0v * x0v
-                    + val.gpsi[s][reg] * x0v
-                    + val.gchi[s][reg]
+            dyn = ctx.dynkin and s < ctx.t_end_idx
+            if sums is not None:
+                res = None
+                if ctx.bsde:
+                    rows = [tab[s][reg] for tab in adj.bsde_rows]
+                    res = _bsde_collapsed(rows, x[0], xn[0], us[0], sg_v, dw)
+                terms = _cell_terms(
+                    res, x, us, r_v, sg_v, th_v, dt,
+                    [tab[s][reg] for tab in val.rows] if dyn else None,
+                    [tab[s][reg] for tab in adj.integ_rows] if ctx.integ else None,
                 )
-                dint += gv * dt if mask is None else gv * dt * mask
-            if want_integ:
-                xh, xa = x[0], x[1]
-                uh, ua = us[0], us[1]
-                ph = adj.phi[s][reg] * xh + adj.psi[s][reg]
-                gap_u = (uh - ua) * sg_v
-                gap_x = xh - xa
-                qhat = adj.phi[s][reg] * sg_v * uh
-                eta_q = adj.qa2[s][reg] * xh * xh + adj.qa1[s][reg] * xh + adj.qa0[s][reg]
-                c1v = gap_u * gap_u * ph * ph * dt
-                c2v = qhat * qhat * gap_x * gap_x * dt
-                c3v = gap_x * gap_x * eta_q * dt
-                if mask is not None:
-                    c1v, c2v, c3v = c1v * mask, c2v * mask, c3v * mask
-                integ[0] += c1v
-                integ[1] += c2v
-                integ[2] += c3v
-
-            if want_dyn and s == ctx.t_end_idx:
-                _capture_dynkin_end(out, val, x[0], reg, s)
-
+                for k, contrib in terms:
+                    if split is not None:
+                        # split paths contribute their sub-cell sums instead
+                        contrib[sub.path[split[0]]] = 0.0
+                    sums[k] += contrib
             if split is not None:
-                _replay_split(
-                    ctx, sub, split, x, xn, us,
-                    res if want_bsde else None,
-                    res_sq if want_bsde else None,
-                    dint if want_dyn and s < ctx.t_end_idx else None,
-                    integ if want_integ else None,
-                )
+                _replay_split(ctx, sub, split, x, xn, us, sums, dyn)
             x = xn
-
-    if want_dyn and ctx.t_end_idx == n_seg:
-        _capture_dynkin_end(out, val, x[0], None, n_seg, alpha_final=out.alpha_final)
 
     for k_pol in range(n_pol):
         if not np.isfinite(x[k_pol]).all():
             raise NonFiniteSolutionError(
                 f"wealth overflowed for policy {ctx.policies[k_pol].spec.describe()!r}"
             )
-        out.x_final[k_pol] = x[k_pol]
+        arts.x_final[k_pol, lo:hi] = x[k_pol]
     gap = 0.0
-    if want_bsde:
-        out.bsde_sum[:] = res
-        out.bsde_sq[:] = res_sq
+    if ctx.bsde:
+        arts.bsde_sum[lo:hi] = sums[_BSDE]
+        arts.bsde_sq[lo:hi] = sums[_BSDE_SQ]
         # terminal condition: p_hat(T) vs dh/dx, both affine in X(T)
-        reg_t = out.alpha_final - 1
-        p_t = ctx.adj.phi[n_seg][reg_t] * x[0] + ctx.adj.psi[n_seg][reg_t]
+        p_t = adj.phi[n_seg][alpha_final] * x[0] + adj.psi[n_seg][alpha_final]
         grad = -2.0 * (x[0] - ctx.d)
         gap = float(np.max(np.abs(p_t - grad)))
-    if want_dyn:
-        out.dynkin_int[:] = dint
-    if want_integ:
-        out.integ[:] = integ
+    if ctx.dynkin:
+        j = ctx.t_end_idx
+        if j == n_seg:
+            x_end = x[0]
+        reg = alpha_final if j == n_seg else regimes[:, j]
+        arts.dynkin_int[lo:hi] = sums[_DYNKIN]
+        arts.dynkin_vend[lo:hi] = _value(val.phi[j][reg], val.psi[j][reg], val.chi[j][reg], x_end)
+    if ctx.integ:
+        arts.integ[:, lo:hi] = sums[list(_INTEG)]
     return gap
 
 
-def _capture_dynkin_end(out, val, x_vec, reg_col, s_idx, alpha_final=None):
-    reg = (alpha_final - 1) if reg_col is None else reg_col
-    phi = val.phi[s_idx][reg]
-    psi = val.psi[s_idx][reg]
-    chi = val.chi[s_idx][reg]
-    out.dynkin_vend[:] = 0.5 * phi * x_vec * x_vec + psi * x_vec + chi
-
-
-def _replay_split(ctx, sub: _SubCells, split, x, xn, us, res, res_sq, dint, integ):
+def _replay_split(ctx, sub: _SubCells, split, x, xn, us, sums, dyn):
     """Step one segment again for every path of the block that jumps inside it.
 
     ``split`` holds the segment's sub-cell slices by ordinal; each ordinal is
     stepped for all of its paths at once, starting from ``x`` and writing
-    into ``xn``.  Ordinal 0 reuses the full-segment controls ``us``.  Each
-    tracked accumulator of such a path receives the sum of its sub-cell
-    contributions (the full-segment one was masked out).
+    into ``xn``.  Ordinal 0 reuses the full-segment controls ``us``.  Such a
+    path's sums receive the sum of its sub-cell contributions (its
+    full-segment ones were zeroed); ``dyn`` tells whether the Dynkin
+    integral still runs.
     """
     paths = sub.path[split[0]]
     part = sub.part
@@ -650,58 +673,34 @@ def _replay_split(ctx, sub: _SubCells, split, x, xn, us, res, res_sq, dint, inte
         dt, dw, r, sg, th = sub.dt[sl], sub.dw[sl], sub.r[sl], sub.sg[sl], sub.th[sl]
         steps = []
         for k_pol, pol in enumerate(ctx.policies):
-            xs = (x[k_pol] if ordinal == 0 else xn[k_pol])[pg]
+            x_k = (x[k_pol] if ordinal == 0 else xn[k_pol])[pg]
             if ordinal == 0:
-                u = us[k_pol][pg]
+                u_k = us[k_pol][pg]
             elif sub.cu[k_pol] is not None:
-                u = sub.cu[k_pol][0][sl] + sub.cu[k_pol][1][sl] * xs
+                u_k = sub.cu[k_pol][0][sl] + sub.cu[k_pol][1][sl] * x_k
             else:
-                u = pol.eval_vector(sub.a[sl], xs, sub.st[sl])
-            x_next = _euler_step(xs, u, r, sg, th, dt, dw)
-            if k_pol == 0 and ctx.weak2:
-                x_next = x_next + (sub.wa[sl] + sub.wb[sl] * xs) * (dt * dt)
+                u_k = pol.eval_vector(sub.a[sl], x_k, sub.st[sl])
+            x_next = _euler_step(x_k, u_k, r, sg, th, dt, dw)
+            if k_pol == 0 and ctx.bsde:
+                x_next = x_next + (sub.wa[sl] + sub.wb[sl] * x_k) * (dt * dt)
             xn[k_pol][pg] = x_next
-            steps.append((xs, u, x_next))
-        xs, u, x_next = steps[0]
-        if res is not None:
-            pa, sa, gpa, gsa, pb, sb, gpb, gsb, pb_after, sb_after = (v[sl] for v in sub.bsde)
-            p0 = pa * xs + sa
-            p1 = pb * x_next + sb
-            qh = pa * sg * u
-            eg0 = xs * gpa + gsa
-            eg1 = x_next * gpb + gsb
-            res_c = (p1 - p0) + 0.5 * (r * p0 + r * p1) * dt - qh * dw + 0.5 * (eg0 + eg1) * dt
-            # a jump at the right edge: p_hat's jump minus eta cancels up to rounding
-            jump_dp = (pb_after * x_next + sb_after) - p1
-            eta = x_next * (pb_after - pb) + (sb_after - sb)
-            res_c = np.where(sub.rj[sl] < 0, res_c, res_c + (jump_dp - eta))
-            part[0, pg] += res_c
-            part[1, pg] += res_c * res_c
-        if dint is not None:
-            phr, psr, chr_, ptr, pst, ctr, gpr, gsr, gcr = (v[sl] for v in sub.dyn)
-            gv = (
-                0.5 * ptr * xs * xs + pst * xs + ctr + (r * xs + u * sg * th) * (phr * xs + psr)
-                + 0.5 * u * u * sg * sg * phr + 0.5 * gpr * xs * xs + gsr * xs + gcr
-            )
-            part[2, pg] += gv * dt
-        if integ is not None:
-            xa, ua, _ = steps[1]
-            pha, psa, q2, q1, q0 = (v[sl] for v in sub.integ)
-            ph = pha * xs + psa
-            gap_u = (u - ua) * sg
-            gap_x = xs - xa
-            qh = pha * sg * u
-            eta_q = q2 * xs * xs + q1 * xs + q0
-            part[3, pg] += gap_u * gap_u * ph * ph * dt
-            part[4, pg] += qh * qh * gap_x * gap_x * dt
-            part[5, pg] += gap_x * gap_x * eta_q * dt
-    if res is not None:
-        res[paths] += part[0, paths]
-        res_sq[paths] += part[1, paths]
-    if dint is not None:
-        dint[paths] += part[2, paths]
-    if integ is not None:
-        integ[:, paths] += part[3:, paths]
+            steps.append((x_k, u_k, x_next))
+        if part is None:
+            continue
+        xs, u, x1 = zip(*steps)  # each per policy
+        res = None
+        if ctx.bsde:
+            rows = [v[sl] for v in sub.bsde]
+            res = _bsde_trapezoid(rows, sub.rj[sl] >= 0, xs[0], x1[0], u[0], r, sg, dt, dw)
+        terms = _cell_terms(
+            res, xs, u, r, sg, th, dt,
+            [v[sl] for v in sub.dyn] if dyn else None,
+            [v[sl] for v in sub.integ] if ctx.integ else None,
+        )
+        for k, contrib in terms:
+            part[k, pg] += contrib
+    if part is not None:
+        sums[:, paths] += part[:, paths]
 
 
 def _run_blocks(
@@ -746,8 +745,7 @@ def _run_blocks(
     blocks = [(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
 
     def work(span):
-        lo, hi = span
-        return _process_block(ctx, lo, hi, _BlockOut(arts, lo, hi))
+        return _process_block(ctx, *span, arts)
 
     if workers <= 1 or len(blocks) == 1:
         gaps = [work(b) for b in blocks]

@@ -24,7 +24,7 @@ from .chain import GeneratorMatrix, _batches, _running_sum, path_integrals
 from .control import optimal_policy, shift_policy
 from .errors import BadIntervalError, StateOutOfRangeError, TimeOutOfRangeError
 from .market import MarketModel, coefficients_at
-from .odes import PhiPsiChiSolution, solve_phi_psi_chi, value_function
+from .odes import PhiPsiChiSolution, _exponent_rates, solve_phi_psi_chi, value_function
 from .simulate import _resolve_policies, _run_blocks
 
 __all__ = [
@@ -308,9 +308,7 @@ def check_rs_martingales(
         check_times = [0.25 * t_hor, 0.5 * t_hor, 0.75 * t_hor, t_hor]
     _validate_check_times(check_times, t_hor)
     times = [0.0, *check_times]
-    theta = model.theta()
-    c2 = 2.0 * model.rates - theta * theta
-    c1 = model.rates - theta * theta
+    c2, c1, _ = _exponent_rates(model, slice(None))  # every cell
     rates = np.stack([c2, c1], axis=-1)
     rows = [sol.interp(t) for t in times]
     phi = np.array([row[0] for row in rows])

@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 
 from rscontrol import (
     DimensionMismatchError,
-    ProblemSpec,
     adjoint_closed_form,
     coefficients_at,
     compile_policy,
     constant_policy,
-    hamiltonian,
     lq_hamiltonian,
     make_market,
     optimal_control,
     optimal_policy,
-    quadratic_loss_problem,
     scale_policy,
     shift_policy,
     solve_phi_psi_chi,
@@ -31,78 +28,10 @@ from rscontrol import (
 U_HAT_08 = 0.10081961633380931  # (0.2/0.3) * (e^{-0.05} - 0.8)
 
 
-def _planar_problem():
-    return ProblemSpec(
-        state_dim=2,
-        control_dim=1,
-        running_cost=lambda t, x, u, i: 0.0,
-        terminal_reward=lambda x: 0.0,
-        terminal_gradient=lambda x: np.zeros(2),
-    )
-
-
-def test_hamiltonian_two_dimensional_arithmetic():
-    h = hamiltonian(
-        0.0,
-        x=[0.0, 0.0],
-        u=[0.0],
-        i=1,
-        p=[1.0, 1.0],
-        q=np.eye(2),
-        problem=_planar_problem(),
-        drift=lambda t, x, u, i: [0.1, 0.2],
-        diffusion=lambda t, x, u, i: np.diag([0.3, 0.4]),
-    )
-    assert h == pytest.approx(1.0, abs=1e-12)
-
-
-def test_hamiltonian_reduces_to_running_cost():
-    prob = ProblemSpec(
-        state_dim=1,
-        control_dim=1,
-        running_cost=lambda t, x, u, i: 42.0,
-        terminal_reward=lambda x: 0.0,
-        terminal_gradient=lambda x: 0.0,
-    )
-    h = hamiltonian(
-        0.0, 1.0, 0.5, 1, 0.0, 0.0, prob,
-        drift=lambda t, x, u, i: [3.0],
-        diffusion=lambda t, x, u, i: [[2.0]],
-    )
-    assert h == 42.0
-
-
-def test_hamiltonian_rejects_bad_shapes():
-    with pytest.raises(DimensionMismatchError):
-        hamiltonian(
-            0.0, [1.0], [0.5], 1, [1.0, 2.0], np.eye(1),
-            quadratic_loss_problem(1.0),
-            drift=lambda t, x, u, i: [0.0],
-            diffusion=lambda t, x, u, i: [[1.0]],
-        )
-
-
 def test_lq_hamiltonian_reference_value(single_market):
     # (0.05*1 + 2*0.3*0.2)*1 + 2*0.3*0.5 = 0.47
     h = lq_hamiltonian(single_market, 0.0, 1.0, 2.0, 1, 1.0, 0.5)
     assert h == pytest.approx(0.47, abs=1e-12)
-
-
-def test_generic_hamiltonian_agrees_with_lq(single_market):
-    prob = quadratic_loss_problem(1.0)
-
-    def drift(t, x, u, i):
-        r, _, sig, th = coefficients_at(single_market, t, i)
-        return [r * float(x[0]) + float(u[0]) * sig * th]
-
-    def diffusion(t, x, u, i):
-        sig = coefficients_at(single_market, t, i)[2]
-        return [[float(u[0]) * sig]]
-
-    for t, x, u, p, q in [(0.0, 1.0, 2.0, 1.0, 0.5), (0.5, 0.3, -1.0, -0.7, 0.2)]:
-        assert hamiltonian(t, x, u, 1, p, q, prob, drift, diffusion) == pytest.approx(
-            lq_hamiltonian(single_market, t, x, u, 1, p, q), abs=1e-14
-        )
 
 
 # ---------------------------------------------------------------------------

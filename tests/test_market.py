@@ -15,7 +15,6 @@ from rscontrol import (
     coefficients_at,
     load_market,
     make_market,
-    quadratic_loss_problem,
 )
 
 
@@ -145,14 +144,3 @@ def test_load_market_missing_field():
 def test_market_tables_are_read_only(single_market):
     with pytest.raises(ValueError):
         single_market.rates[0, 0] = 0.99
-
-
-def test_quadratic_loss_problem_shape():
-    # d and x chosen dyadic so -(x - d)^2 and its gradient are exact
-    prob = quadratic_loss_problem(1.25)
-    assert prob.state_dim == 1 and prob.control_dim == 1
-    assert prob.running_cost(0.1, 2.0, 0.5, 1) == 0.0
-    assert prob.terminal_reward(1.25) == 0.0
-    assert prob.terminal_reward(0.25) == -1.0
-    assert prob.terminal_gradient(0.25) == 2.0
-    assert prob.target == 1.25

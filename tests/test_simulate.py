@@ -16,6 +16,7 @@ from rscontrol import (
     estimate_J,
     make_market,
     optimal_policy,
+    phi_psi_from_oracle,
     scale_policy,
     shift_policy,
     simulate_wealth,
@@ -256,6 +257,55 @@ def test_dynkin_accumulator_matches_per_cell_sum(fast_market, fast_gen, fast_sol
             if np.isin(wp.times[c + 1], nodes):
                 total, segment = total + segment, 0.0
         assert arts.dynkin_int[k] == pytest.approx(total, rel=1e-12, abs=1e-15)
+
+
+def test_integrability_accumulator_matches_per_cell_sum(fast_market, fast_gen, fast_sol):
+    # The three integrands summed over a path's cells, segment by segment,
+    # from the single-path trajectories of the optimal policy and a shift.
+    # Rows come from where the engine takes them: the semigroup (expm) rows
+    # at grid nodes, the ODE interpolant at jump times.  The engine expands
+    # sum_j g_ij eta_ij^2 as a quadratic in x, which loses a few digits to
+    # cancellation (relative gaps up to ~5e-13 on these paths).
+    n_steps, seed = 16, 5
+    specs = [optimal_policy(), shift_policy(optimal_policy(), 0.1)]
+    compiled, _ = _resolve_policies(fast_market, fast_gen, specs, fast_sol, FAST_D)
+    arts = _run_blocks(
+        fast_market, fast_gen, compiled, i0=2, x0=1.0, n_paths=12, n_steps=n_steps,
+        seed=seed, accumulate=frozenset({"integrability"}), sol=fast_sol, d=FAST_D,
+    )
+    g = fast_gen.rates
+    nodes = np.linspace(0.0, 1.0, n_steps + 1)
+    node_rows = {t: phi_psi_from_oracle(fast_market, fast_gen, FAST_D, t) for t in nodes}
+    split_cells = 0
+    for k in range(12):
+        opt, alt = (
+            simulate_wealth(fast_market, fast_gen, sp, fast_sol, 1.0, n_steps, seed, i0=2, path_index=k)
+            for sp in specs
+        )
+        assert np.array_equal(opt.times, alt.times)
+        total, segment = np.zeros(3), np.zeros(3)
+        for c, t in enumerate(opt.times[:-1]):
+            i = opt.regimes[c] - 1
+            sg = fast_market.vols[fast_market.cell_index(t), i]
+            if t in node_rows:
+                phi, psi = node_rows[t]
+            else:
+                phi, psi, _ = fast_sol.interp(t)
+                split_cells += 1
+            x, gap_x = opt.wealth[c], opt.wealth[c] - alt.wealth[c]
+            gap_u = (opt.controls[c] - alt.controls[c]) * sg
+            eta = x * (phi - phi[i]) + (psi - psi[i])  # jump of p_hat from i to each j
+            dt = opt.times[c + 1] - t
+            segment += dt * np.array([
+                (gap_u * (phi[i] * x + psi[i])) ** 2,
+                (phi[i] * sg * opt.controls[c] * gap_x) ** 2,
+                gap_x * gap_x * float(np.sum(g[i] * eta * eta)),
+            ])
+            if opt.times[c + 1] in node_rows:
+                total, segment = total + segment, np.zeros(3)
+        for m in range(3):
+            assert arts.integ[m, k] == pytest.approx(total[m], rel=1e-12, abs=1e-15), (k, m)
+    assert split_cells > 20
 
 
 @settings(max_examples=25, deadline=None)

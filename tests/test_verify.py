@@ -15,6 +15,7 @@ import rscontrol.chain
 from rscontrol import (
     BadIntervalError,
     TimeOutOfRangeError,
+    ValidationError,
     check_adjoint_bsde,
     check_chain_martingales,
     check_dp_connection,
@@ -170,6 +171,20 @@ def test_dynkin_deterministic_market(single_gen):
     rep = check_dynkin(flat, single_gen, sol, 1.0, 64, 256, seed=2)
     assert rep.passed
     assert rep.statistic < 1e-4
+
+
+@pytest.mark.parametrize(
+    "t_end, error",
+    [
+        (1.5, TimeOutOfRangeError),  # past the horizon
+        (-0.25, TimeOutOfRangeError),
+        (0.3, ValidationError),  # inside [0, T] but between the nodes 0.25 and 0.3125
+    ],
+)
+def test_dynkin_rejects_t_end_off_the_grid(tworeg_market, tworeg_gen, tworeg_sol, t_end, error):
+    with pytest.raises(ValidationError) as info:
+        check_dynkin(tworeg_market, tworeg_gen, tworeg_sol, t_end, 64, 16, seed=2)
+    assert type(info.value) is error
 
 
 def test_integrability_trivial_when_comparison_equals_optimum(
