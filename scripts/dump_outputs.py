@@ -7,7 +7,8 @@ when every output below is byte-identical between them:
 * every ``_RunArtifacts`` field of plain, ``bsde``, ``dynkin`` (t_end 0.5 and
   the horizon), ``integrability`` and all-three engine runs on both
   ``perfbench/configs`` markets, with a table policy and a ``window_shift``
-  policy among the policies;
+  policy among the policies (plain runs with the table policy last, in a
+  middle row and alone);
 * ``phi_psi_from_oracle`` at every node of the ODE solver's grid;
 * the CSVs of the CLI's ``evaluate``, ``verify``, ``frontier`` and
   ``simulate-chain`` subcommands at small sizes.
@@ -83,6 +84,8 @@ def _engine_runs(name: str, out: dict) -> None:
     shift = shift_policy(opt, 0.1)
     runs = {
         "plain": ([opt, constant_policy(0.3), shift, window, table], frozenset(), None),
+        "table_middle": ([opt, constant_policy(0.3), table, shift, window], frozenset(), None),
+        "table_only": ([table], frozenset(), None),
         "bsde": ([opt, window], frozenset({"bsde"}), None),
         "dynkin_half": ([opt, table], frozenset({"dynkin"}), 0.5),
         "dynkin_end": ([constant_policy(0.3)], frozenset({"dynkin"}), horizon),
@@ -95,7 +98,7 @@ def _engine_runs(name: str, out: dict) -> None:
         compiled, _ = _resolve_policies(model, gen, specs, sol, d)
         for i0 in range(1, min(n_states, 2) + 1):
             arts = _run_blocks(
-                model, gen, compiled, i0=i0, x0=model.initial_wealth, n_paths=N_PATHS,
+                model, gen, compiled, i0=i0, n_paths=N_PATHS,
                 n_steps=N_STEPS, seed=SEED, accumulate=acc, sol=sol, d=d, t_end=t_end,
             )
             for field in dataclasses.fields(_RunArtifacts):

@@ -28,6 +28,7 @@ The single-path functions stay as the scalar references.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -508,6 +509,12 @@ def _running_sum(total: np.ndarray, values: np.ndarray) -> np.ndarray:
     split into batches; a pairwise ``np.sum`` would round differently.
     """
     return np.add.accumulate(np.concatenate([total[None], values]), axis=0)[-1]
+
+
+def _mean_se_of_sums(total, total2, n: int):
+    """Mean and standard error of n samples from their sum and sum of squares."""
+    mean = total / n
+    return mean, math.sqrt(max(total2 / n - mean * mean, 0.0) / n)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ import numpy as np
 from .chain import (
     GeneratorMatrix,
     _batches,
+    _mean_se_of_sums,
     _running_sum,
     transition_matrix,
     validate_generator,
@@ -185,25 +186,20 @@ def _cmd_simulate_chain(rc: RunConfig) -> int:
         m_sum2 = _running_sum(m_sum2, m * m)
     n = rc.n_paths
     exact = transition_matrix(gen, t_hor)[rc.i0 - 1]
-
-    def se(total, total2):
-        mean = total / n
-        return mean, math.sqrt(max(total2 / n - mean * mean, 0.0) / n)
-
     rows = []
     for i in range(d_states):
-        mean, s = se(occ_probs[i], occ_probs[i])  # hit * hit = hit
+        mean, s = _mean_se_of_sums(occ_probs[i], occ_probs[i], n)  # hit * hit = hit
         rows.append(["prob_state", i + 1, 0, mean, s])
         rows.append(["prob_state_exact", i + 1, 0, float(exact[i]), 0.0])
-    mean, s = se(jumps_sum, jumps_sum2)
+    mean, s = _mean_se_of_sums(jumps_sum, jumps_sum2, n)
     rows.append(["mean_jumps", 0, 0, mean, s])
     for i in range(d_states):
         for j in range(d_states):
             if i == j:
                 continue
-            mean, s = se(n_sum[i, j], n_sum2[i, j])
+            mean, s = _mean_se_of_sums(n_sum[i, j], n_sum2[i, j], n)
             rows.append(["mean_N", i + 1, j + 1, mean, s])
-            mean, s = se(m_sum[i, j], m_sum2[i, j])
+            mean, s = _mean_se_of_sums(m_sum[i, j], m_sum2[i, j], n)
             rows.append(["mean_M", i + 1, j + 1, mean, s])
     _write_csv(rc.outdir / "simulate-chain.csv", ["name", "i", "j", "value", "std_error"], rows)
     return 0
@@ -238,8 +234,8 @@ def _cmd_evaluate(rc: RunConfig) -> int:
     specs = [optimal_policy(), *standard_perturbations(rc.model.horizon)]
     compiled, sol = _resolve_policies(rc.model, rc.gen, specs, None, d, rc.steps_per_cell)
     arts = _run_blocks(
-        rc.model, rc.gen, compiled, i0=rc.i0, x0=rc.model.initial_wealth,
-        n_paths=rc.n_paths, n_steps=rc.n_steps, seed=rc.seed, workers=rc.workers,
+        rc.model, rc.gen, compiled, i0=rc.i0, n_paths=rc.n_paths, n_steps=rc.n_steps,
+        seed=rc.seed, workers=rc.workers,
     )
     rows = []
     for k, spec in enumerate(specs):

@@ -125,8 +125,7 @@ def solve_frontier_point(
     sol = solve_phi_psi_chi(model, gen, d_eff, steps_per_cell)
     compiled, _ = _resolve_policies(model, gen, [optimal_policy()], sol, d_eff)
     arts = _run_blocks(
-        model, gen, compiled, i0=i0, x0=model.initial_wealth,
-        n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
+        model, gen, compiled, i0=i0, n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
     )
     xt = arts.x_final[0]
     mean = float(np.mean(xt))

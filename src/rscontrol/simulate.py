@@ -19,6 +19,12 @@ stepped again for all of its jumping paths, ordinal by ordinal, with the
 full-segment step's elementwise expressions.  Those give the same bits on
 arrays as on scalars, so every path matches :func:`simulate_wealth`.
 
+A block's wealth is one (P, nb) array, row k for policy k.  Each full
+segment and each sub-cell ordinal computes all controls as ``c0 + c1 * x``
+from stacked (times, P, D) affine tables and steps all rows in one Euler
+update; table policies' rows are zero there and overwritten by interpolation.
+The BSDE weak-order correction applies to row 0 alone.
+
 A run may also accumulate per-path sums for the verification suite: the
 adjoint BSDE residual (``bsde``), the Dynkin integral of Gamma V
 (``dynkin``) and the three integrability integrands (``integrability``).
@@ -94,7 +100,7 @@ __all__ = [
 ]
 
 _BLOCK = 2048  # fixed block size; independent of n_paths and worker count
-_CHUNK = 256  # segments per bulk table gather in the Euler stage
+_CHUNK = 256  # segments per transposed chunk of the regime and draw matrices
 
 
 @dataclass(frozen=True)
@@ -165,9 +171,14 @@ class _SimGrid:
         self.c2_seg, self.c1_seg, self.th2_seg = _exponent_rates(model, self.cell_of_seg)
 
 
-def _policy_tables(policies: list[CompiledPolicy], grid: _SimGrid):
-    """Per-segment affine (intercept, slope) tables; None for table policies."""
-    return [pol.coeffs(grid.bounds[:-1]) if pol.is_affine else None for pol in policies]
+def _policy_tables(policies: list[CompiledPolicy], t: np.ndarray):
+    """(intercept, slope) arrays of shape (len(t), P, D) at times t; zero for table policies."""
+    c0 = np.zeros((t.shape[0], len(policies), policies[0].model.num_states))
+    c1 = np.zeros_like(c0)
+    for k, pol in enumerate(policies):
+        if pol.is_affine:
+            c0[:, k], c1[:, k] = pol.coeffs(t)
+    return c0, c1
 
 
 def _eta_quadratic(g: np.ndarray, phi: np.ndarray, psi: np.ndarray):
@@ -415,11 +426,10 @@ class _SubCells:
         self.r = grid.r_seg[s, st]
         self.sg = grid.sig_seg[s, st]
         self.th = grid.th_seg[s, st]
-        # affine policies at jump times, in the regime entered (ordinals >= 1)
-        self.cu = [
-            None if tab is None else tuple(c[idx, new][self.lj] for c in pol.coeffs(tau))
-            for pol, tab in zip(ctx.policies, ctx.tables)
-        ]
+        # (P, sub-cells) affine rows at jump times, in the regime entered (ordinals >= 1)
+        self.cu = tuple(
+            np.ascontiguousarray(c[self.lj, :, st].T) for c in _policy_tables(ctx.policies, tau)
+        )
 
         # per-path sums over the sub-cells of one segment
         self.part = np.zeros((_N_SUMS, z.shape[0])) if ctx.accumulate else None
@@ -474,7 +484,6 @@ class _RunContext:
         policies: list[CompiledPolicy],
         *,
         i0: int,
-        x0: float,
         n_steps: int,
         seed: int,
         accumulate: frozenset,
@@ -486,10 +495,10 @@ class _RunContext:
         self.gen = gen
         self.policies = policies
         self.i0 = i0
-        self.x0 = float(x0)
         self.seed = seed
         self.grid = _SimGrid(model, n_steps)
-        self.tables = _policy_tables(policies, self.grid)
+        self.tables = _policy_tables(policies, self.grid.bounds[:-1])
+        self.table_rows = [k for k, pol in enumerate(policies) if not pol.is_affine]
         self.accumulate = accumulate
         self.bsde = "bsde" in accumulate
         self.dynkin = "dynkin" in accumulate
@@ -507,8 +516,8 @@ class _RunContext:
             # step-count-independent amount.
             th, sg = self.grid.th_seg, self.grid.sig_seg
             c1 = -th / sg
-            c0 = c1 * (self.adj.psi[:-1] / self.adj.phi[:-1])
-            self.tables[0] = (c0, c1)
+            self.tables[0][:, 0] = c1 * (self.adj.psi[:-1] / self.adj.phi[:-1])
+            self.tables[1][:, 0] = c1
         if self.dynkin:
             if not (-1e-12 <= t_end <= model.horizon + 1e-12):
                 raise TimeOutOfRangeError(f"t_end={t_end} outside [0, {model.horizon}]")
@@ -541,7 +550,6 @@ def _process_block(ctx: _RunContext, lo: int, hi: int, arts: _RunArtifacts) -> f
     model = ctx.model
     bounds, lens, sqrt_lens = grid.bounds, grid.lens, grid.sqrt_lens
     n_seg = grid.n_seg
-    n_pol = len(ctx.policies)
     nb = hi - lo
     i0_0 = ctx.i0 - 1
 
@@ -569,9 +577,10 @@ def _process_block(ctx: _RunContext, lo: int, hi: int, arts: _RunArtifacts) -> f
         sub = _SubCells(ctx, z, path[inner], tau[inner], new[inner], before[inner], seg[inner])
 
     # --- Euler stage -------------------------------------------------------
-    x = [np.full(nb, ctx.x0) for _ in range(n_pol)]
+    x = np.full((len(ctx.policies), nb), float(model.initial_wealth))
     sums = np.zeros((_N_SUMS, nb)) if ctx.accumulate else None
     adj, val = ctx.adj, ctx.val
+    c0, c1 = ctx.tables
 
     # The regime and draw matrices are path-major, so reading one segment's
     # column would touch one cache line per path; transposing a chunk at a
@@ -587,23 +596,18 @@ def _process_block(ctx: _RunContext, lo: int, hi: int, arts: _RunArtifacts) -> f
             c = s - cs
             reg = regsT[c]
             dw = dwC[c]
-            t0 = float(bounds[s])
             dt = float(lens[s])
             r_v = grid.r_seg[s][reg]
             sg_v = grid.sig_seg[s][reg]
             th_v = grid.th_seg[s][reg]
-            us = []
-            xn = []
-            for k_pol in range(n_pol):
-                tab = ctx.tables[k_pol]
-                if tab is not None:
-                    u = tab[0][s][reg] + tab[1][s][reg] * x[k_pol]
-                else:
-                    u = ctx.policies[k_pol].eval_vector(t0, x[k_pol], reg)
-                us.append(u)
-                xn.append(_euler_step(x[k_pol], u, r_v, sg_v, th_v, dt, dw))
+            u = c0[s].take(reg, axis=1) + c1[s].take(reg, axis=1) * x
+            for k in ctx.table_rows:
+                u[k] = ctx.policies[k].eval_vector(float(bounds[s]), x[k], reg)
+            # the shared rows get a leading axis: broadcasting 1-D rows
+            # against (P, nb) is slower, and the bits are the same
+            xn = _euler_step(x, u, r_v[None], sg_v[None], th_v[None], dt, dw[None])
             if ctx.bsde:
-                xn[0] = xn[0] + (adj.wa[s][reg] + adj.wb[s][reg] * x[0]) * (dt * dt)
+                xn[0] += (adj.wa[s][reg] + adj.wb[s][reg] * x[0]) * (dt * dt)
             if s == ctx.t_end_idx:
                 x_end = x[0]
 
@@ -613,9 +617,9 @@ def _process_block(ctx: _RunContext, lo: int, hi: int, arts: _RunArtifacts) -> f
                 res = None
                 if ctx.bsde:
                     rows = [tab[s][reg] for tab in adj.bsde_rows]
-                    res = _bsde_collapsed(rows, x[0], xn[0], us[0], sg_v, dw)
+                    res = _bsde_collapsed(rows, x[0], xn[0], u[0], sg_v, dw)
                 terms = _cell_terms(
-                    res, x, us, r_v, sg_v, th_v, dt,
+                    res, x, u, r_v, sg_v, th_v, dt,
                     [tab[s][reg] for tab in val.rows] if dyn else None,
                     [tab[s][reg] for tab in adj.integ_rows] if ctx.integ else None,
                 )
@@ -625,15 +629,14 @@ def _process_block(ctx: _RunContext, lo: int, hi: int, arts: _RunArtifacts) -> f
                         contrib[sub.path[split[0]]] = 0.0
                     sums[k] += contrib
             if split is not None:
-                _replay_split(ctx, sub, split, x, xn, us, sums, dyn)
+                _replay_split(ctx, sub, split, x, xn, u, sums, dyn)
             x = xn
 
-    for k_pol in range(n_pol):
-        if not np.isfinite(x[k_pol]).all():
-            raise NonFiniteSolutionError(
-                f"wealth overflowed for policy {ctx.policies[k_pol].spec.describe()!r}"
-            )
-        arts.x_final[k_pol, lo:hi] = x[k_pol]
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        bad = ctx.policies[int(np.argmin(finite))]
+        raise NonFiniteSolutionError(f"wealth overflowed for policy {bad.spec.describe()!r}")
+    arts.x_final[:, lo:hi] = x
     gap = 0.0
     if ctx.bsde:
         arts.bsde_sum[lo:hi] = sums[_BSDE]
@@ -654,46 +657,43 @@ def _process_block(ctx: _RunContext, lo: int, hi: int, arts: _RunArtifacts) -> f
     return gap
 
 
-def _replay_split(ctx, sub: _SubCells, split, x, xn, us, sums, dyn):
+def _replay_split(ctx, sub: _SubCells, split, x, xn, u, sums, dyn):
     """Step one segment again for every path of the block that jumps inside it.
 
     ``split`` holds the segment's sub-cell slices by ordinal; each ordinal is
-    stepped for all of its paths at once, starting from ``x`` and writing
-    into ``xn``.  Ordinal 0 reuses the full-segment controls ``us``.  Such a
-    path's sums receive the sum of its sub-cell contributions (its
-    full-segment ones were zeroed); ``dyn`` tells whether the Dynkin
-    integral still runs.
+    stepped for all of its paths and all policies at once, starting from the
+    (P, nb) wealth ``x`` and writing into ``xn``.  Ordinal 0 reuses the
+    full-segment controls ``u``.  Such a path's sums receive the sum of its
+    sub-cell contributions (its full-segment ones were zeroed); ``dyn`` tells
+    whether the Dynkin integral still runs.
     """
     paths = sub.path[split[0]]
     part = sub.part
     if part is not None:
         part[:, paths] = 0.0
+    c0, c1 = sub.cu
     for ordinal, sl in enumerate(split):
         pg = sub.path[sl]
         dt, dw, r, sg, th = sub.dt[sl], sub.dw[sl], sub.r[sl], sub.sg[sl], sub.th[sl]
-        steps = []
-        for k_pol, pol in enumerate(ctx.policies):
-            x_k = (x[k_pol] if ordinal == 0 else xn[k_pol])[pg]
-            if ordinal == 0:
-                u_k = us[k_pol][pg]
-            elif sub.cu[k_pol] is not None:
-                u_k = sub.cu[k_pol][0][sl] + sub.cu[k_pol][1][sl] * x_k
-            else:
-                u_k = pol.eval_vector(sub.a[sl], x_k, sub.st[sl])
-            x_next = _euler_step(x_k, u_k, r, sg, th, dt, dw)
-            if k_pol == 0 and ctx.bsde:
-                x_next = x_next + (sub.wa[sl] + sub.wb[sl] * x_k) * (dt * dt)
-            xn[k_pol][pg] = x_next
-            steps.append((x_k, u_k, x_next))
+        if ordinal == 0:
+            xs, us = x.take(pg, axis=1), u.take(pg, axis=1)
+        else:
+            xs = xn.take(pg, axis=1)
+            us = c0[:, sl] + c1[:, sl] * xs
+            for k in ctx.table_rows:
+                us[k] = ctx.policies[k].eval_vector(sub.a[sl], xs[k], sub.st[sl])
+        x1 = _euler_step(xs, us, r[None], sg[None], th[None], dt[None], dw[None])
+        if ctx.bsde:
+            x1[0] += (sub.wa[sl] + sub.wb[sl] * xs[0]) * (dt * dt)
+        xn[:, pg] = x1
         if part is None:
             continue
-        xs, u, x1 = zip(*steps)  # each per policy
         res = None
         if ctx.bsde:
             rows = [v[sl] for v in sub.bsde]
-            res = _bsde_trapezoid(rows, sub.rj[sl] >= 0, xs[0], x1[0], u[0], r, sg, dt, dw)
+            res = _bsde_trapezoid(rows, sub.rj[sl] >= 0, xs[0], x1[0], us[0], r, sg, dt, dw)
         terms = _cell_terms(
-            res, xs, u, r, sg, th, dt,
+            res, xs, us, r, sg, th, dt,
             [v[sl] for v in sub.dyn] if dyn else None,
             [v[sl] for v in sub.integ] if ctx.integ else None,
         )
@@ -709,7 +709,6 @@ def _run_blocks(
     policies: list[CompiledPolicy],
     *,
     i0: int,
-    x0: float,
     n_paths: int,
     n_steps: int,
     seed: int,
@@ -724,7 +723,7 @@ def _run_blocks(
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     ctx = _RunContext(
-        model, gen, policies, i0=i0, x0=x0, n_steps=n_steps, seed=seed,
+        model, gen, policies, i0=i0, n_steps=n_steps, seed=seed,
         accumulate=accumulate, sol=sol, d=d, t_end=t_end,
     )
     n_pol = len(policies)
@@ -793,7 +792,7 @@ def simulate_wealth(
     """
     pol = _resolve_policies(model, gen, [policy], sol, None)[0][0]
     grid = _SimGrid(model, n_steps)
-    tab = _policy_tables([pol], grid)[0]
+    c0, c1 = _policy_tables([pol], grid.bounds[:-1])
     if not (1 <= i0 <= model.num_states):
         raise InvalidInitialStateError(f"initial state {i0} outside 1..{model.num_states}")
     rng = path_stream(seed, path_index, CHAIN_STREAM)
@@ -837,8 +836,8 @@ def simulate_wealth(
             r_c = float(model.rates[cell_k, st])
             sg_c = float(model.vols[cell_k, st])
             th_c = (float(model.drifts[cell_k, st]) - r_c) / sg_c
-            if tab is not None and ca == t0:
-                u_c = float(tab[0][s][st] + tab[1][s][st] * x)
+            if pol.is_affine and ca == t0:
+                u_c = float(c0[s, 0, st] + c1[s, 0, st] * x)
             else:
                 u_c = pol(ca, x, st + 1)
             x = _euler_step(x, u_c, r_c, sg_c, th_c, dtc, dwc)
@@ -877,8 +876,7 @@ def estimate_J(
     t_start = time.perf_counter()
     compiled, _ = _resolve_policies(model, gen, [policy], sol, d)
     arts = _run_blocks(
-        model, gen, compiled, i0=i0, x0=model.initial_wealth,
-        n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
+        model, gen, compiled, i0=i0, n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
     )
     payoff = -((arts.x_final[0] - d) ** 2)
     mean = float(np.mean(payoff))
@@ -914,8 +912,7 @@ def compare_policies(
     t_start = time.perf_counter()
     compiled, _ = _resolve_policies(model, gen, [base, *alternatives], sol, d)
     arts = _run_blocks(
-        model, gen, compiled, i0=i0, x0=model.initial_wealth,
-        n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
+        model, gen, compiled, i0=i0, n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
     )
     payoff_base = -((arts.x_final[0] - d) ** 2)
     out = []

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import GeneratorMatrix, _batches, _running_sum, path_integrals
+from .chain import GeneratorMatrix, _batches, _mean_se_of_sums, _running_sum, path_integrals
 from .control import optimal_policy, shift_policy
 from .errors import BadIntervalError, StateOutOfRangeError, TimeOutOfRangeError
 from .market import MarketModel, coefficients_at
@@ -187,8 +187,7 @@ def check_adjoint_bsde(
     d = sol.target
     compiled, _ = _resolve_policies(model, gen, [optimal_policy()], sol, d)
     arts = _run_blocks(
-        model, gen, compiled, i0=i0, x0=model.initial_wealth,
-        n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
+        model, gen, compiled, i0=i0, n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
         accumulate=frozenset({"bsde"}), sol=sol, d=d,
     )
     mean, se = _mean_se(arts.bsde_sum)
@@ -210,8 +209,7 @@ def check_adjoint_bsde(
     rms = []
     for steps in (n_steps, 2 * n_steps):
         a = _run_blocks(
-            model, gen, compiled, i0=i0, x0=model.initial_wealth,
-            n_paths=n_ord, n_steps=steps, seed=seed, workers=workers,
+            model, gen, compiled, i0=i0, n_paths=n_ord, n_steps=steps, seed=seed, workers=workers,
             accumulate=frozenset({"bsde"}), sol=sol, d=d,
         )
         rms.append(math.sqrt(float(np.mean(a.bsde_sq)) / a.n_segments))
@@ -248,9 +246,7 @@ def check_chain_martingales(
         for j in range(d_states):
             if i == j:
                 continue
-            mean = sums[i, j] / n_paths
-            var = max(sums2[i, j] / n_paths - mean * mean, 0.0)
-            se = math.sqrt(var / n_paths)
+            mean, se = _mean_se_of_sums(sums[i, j], sums2[i, j], n_paths)
             reports.append(
                 _mk(
                     f"chain_martingale_M_{i + 1}_{j + 1}",
@@ -334,9 +330,7 @@ def check_rs_martingales(
     for row, label in ((0, "R"), (1, "S")):
         stat, thr, where = 0.0, 1e-7, "none"
         for m in range(n_inc):
-            mean = inc_sum[row, m] / n_paths
-            var = max(inc_sum2[row, m] / n_paths - mean * mean, 0.0)
-            se = math.sqrt(var / n_paths)
+            mean, se = _mean_se_of_sums(inc_sum[row, m], inc_sum2[row, m], n_paths)
             margin_stat, margin_thr = abs(mean), 3.0 * se + 1e-7
             # keep the interval with the worst margin
             if margin_stat * thr > stat * margin_thr:
@@ -375,8 +369,7 @@ def check_dynkin(
     d = sol.target
     compiled, _ = _resolve_policies(model, gen, [optimal_policy()], sol, d)
     arts = _run_blocks(
-        model, gen, compiled, i0=i0, x0=model.initial_wealth,
-        n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
+        model, gen, compiled, i0=i0, n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
         accumulate=frozenset({"dynkin"}), sol=sol, d=d, t_end=t_end,
     )
     v0 = value_function(sol, 0.0, model.initial_wealth, i0)
@@ -419,8 +412,7 @@ def check_integrability(
         sol = solve_phi_psi_chi(model, gen, d)
     compiled, _ = _resolve_policies(model, gen, [optimal_policy(), perturbation], sol, d)
     arts = _run_blocks(
-        model, gen, compiled, i0=i0, x0=model.initial_wealth,
-        n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
+        model, gen, compiled, i0=i0, n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
         accumulate=frozenset({"integrability"}), sol=sol, d=d,
     )
     names = ("integrability_sigma_term", "integrability_q_term", "integrability_eta_term")

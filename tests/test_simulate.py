@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rscontrol import (
+    NonFiniteSolutionError,
     TargetMismatchError,
     compare_policies,
     compile_policy,
@@ -177,8 +178,7 @@ def test_engine_paths_match_single_path_simulator(tworeg_market, tworeg_gen, two
         tworeg_market, tworeg_gen, [optimal_policy()], tworeg_sol, 1.2
     )
     arts = _run_blocks(
-        tworeg_market, tworeg_gen, compiled, i0=1, x0=1.0,
-        n_paths=128, n_steps=256, seed=13,
+        tworeg_market, tworeg_gen, compiled, i0=1, n_paths=128, n_steps=256, seed=13,
     )
     for k in (0, 1, 63, 127):
         wp = simulate_wealth(
@@ -187,9 +187,12 @@ def test_engine_paths_match_single_path_simulator(tworeg_market, tworeg_gen, two
         assert arts.x_final[0][k] == wp.wealth[-1]
 
 
+@pytest.mark.parametrize("order", ["table_last", "table_middle", "table_only"])
 def test_engine_paths_match_single_path_simulator_under_fast_switching(
-    fast_market, fast_gen, fast_sol
+    fast_market, fast_gen, fast_sol, order
 ):
+    # the engine steps all policies as rows of one array, so the table
+    # policy's row must land where it is listed
     n_steps, seed = 32, 41
     opt = optimal_policy()
     table = table_policy(
@@ -197,18 +200,21 @@ def test_engine_paths_match_single_path_simulator_under_fast_switching(
         [0.5, 1.0, 1.5],
         np.linspace(-0.4, 0.5, 27).reshape(3, 3, 3),
     )
-    specs = [
+    affine = [
         opt,
         constant_policy(0.3),
         shift_policy(opt, 0.1),
         scale_policy(opt, 1.5),
         window_shift_policy(opt, 0.2, 0.1, 0.3001),  # right edge between grid nodes
-        table,
     ]
+    specs = {
+        "table_last": [*affine, table],
+        "table_middle": [*affine[:2], table, *affine[2:]],
+        "table_only": [table],
+    }[order]
     compiled, _ = _resolve_policies(fast_market, fast_gen, specs, fast_sol, FAST_D)
     arts = _run_blocks(
-        fast_market, fast_gen, compiled, i0=2, x0=1.0,
-        n_paths=48, n_steps=n_steps, seed=seed,
+        fast_market, fast_gen, compiled, i0=2, n_paths=48, n_steps=n_steps, seed=seed,
     )
     nodes = np.linspace(0.0, 1.0, n_steps + 1)
     jump_bounded = 0  # sub-cells opened and closed by jumps inside one segment
@@ -223,6 +229,20 @@ def test_engine_paths_match_single_path_simulator_under_fast_switching(
     assert jump_bounded > 20
 
 
+def test_compare_policies_names_the_policy_that_overflows(fast_market, fast_gen, fast_sol):
+    # an infinite control in a row other than 0, after a table policy
+    table = table_policy([0.0], [0.0, 2.0], np.zeros((1, 2, 3)))
+    alternatives = [
+        constant_policy(0.3), table, constant_policy(float("inf")), constant_policy(0.1),
+    ]
+    overflow = pytest.raises(NonFiniteSolutionError, match=r"'constant\(inf\)'")
+    with np.errstate(all="ignore"), overflow:
+        compare_policies(
+            fast_market, fast_gen, optimal_policy(), alternatives, FAST_D, 64, 8, seed=3,
+            sol=fast_sol,
+        )
+
+
 def test_dynkin_accumulator_matches_per_cell_sum(fast_market, fast_gen, fast_sol):
     # Gamma V summed over a path's cells, segment by segment, from its
     # single-path trajectory; a constant control keeps Gamma V away from 0
@@ -230,7 +250,7 @@ def test_dynkin_accumulator_matches_per_cell_sum(fast_market, fast_gen, fast_sol
     spec = constant_policy(0.3)
     compiled, _ = _resolve_policies(fast_market, fast_gen, [spec], fast_sol, FAST_D)
     arts = _run_blocks(
-        fast_market, fast_gen, compiled, i0=3, x0=1.0, n_paths=12, n_steps=n_steps,
+        fast_market, fast_gen, compiled, i0=3, n_paths=12, n_steps=n_steps,
         seed=seed, accumulate=frozenset({"dynkin"}), sol=fast_sol, d=FAST_D, t_end=1.0,
     )
     g = fast_gen.rates
@@ -270,7 +290,7 @@ def test_integrability_accumulator_matches_per_cell_sum(fast_market, fast_gen, f
     specs = [optimal_policy(), shift_policy(optimal_policy(), 0.1)]
     compiled, _ = _resolve_policies(fast_market, fast_gen, specs, fast_sol, FAST_D)
     arts = _run_blocks(
-        fast_market, fast_gen, compiled, i0=2, x0=1.0, n_paths=12, n_steps=n_steps,
+        fast_market, fast_gen, compiled, i0=2, n_paths=12, n_steps=n_steps,
         seed=seed, accumulate=frozenset({"integrability"}), sol=fast_sol, d=FAST_D,
     )
     g = fast_gen.rates
@@ -323,7 +343,7 @@ def test_paths_depend_only_on_seed_and_index(
         fast_sol, FAST_D,
     )
     kw = dict(
-        i0=1, x0=1.0, n_steps=8, seed=seed, sol=fast_sol, d=FAST_D, t_end=0.5,
+        i0=1, n_steps=8, seed=seed, sol=fast_sol, d=FAST_D, t_end=0.5,
         accumulate=frozenset({"bsde", "dynkin", "integrability"}),
     )
     ref = _run_blocks(fast_market, fast_gen, compiled, n_paths=n_paths + 5, **kw)
