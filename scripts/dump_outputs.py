@@ -10,8 +10,9 @@ when every output below is byte-identical between them:
   policy among the policies (plain runs with the table policy last, in a
   middle row and alone);
 * ``phi_psi_from_oracle`` at every node of the ODE solver's grid;
-* the CSVs of the CLI's ``evaluate``, ``verify``, ``frontier`` and
-  ``simulate-chain`` subcommands at small sizes.
+* the CSVs of the CLI's ``evaluate``, ``verify``, ``frontier``,
+  ``simulate-chain``, ``solve-odes`` and ``optimal-control`` subcommands at
+  small sizes.
 
 Example (a few seconds on two cores):
     PYTHONPATH=src python3 scripts/dump_outputs.py before.json
@@ -42,7 +43,7 @@ from rscontrol import (
     window_shift_policy,
 )
 from rscontrol.cli import main as cli_main
-from rscontrol.simulate import _resolve_policies, _run_blocks, _RunArtifacts
+from rscontrol.simulate import _run_blocks, _RunArtifacts
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "perfbench" / "configs"
@@ -95,10 +96,9 @@ def _engine_runs(name: str, out: dict) -> None:
         "all": ([opt, window], frozenset({"bsde", "dynkin", "integrability"}), 0.5),
     }
     for run, (specs, acc, t_end) in runs.items():
-        compiled, _ = _resolve_policies(model, gen, specs, sol, d)
         for i0 in range(1, min(n_states, 2) + 1):
             arts = _run_blocks(
-                model, gen, compiled, i0=i0, n_paths=N_PATHS,
+                model, gen, specs, i0=i0, n_paths=N_PATHS,
                 n_steps=N_STEPS, seed=SEED, accumulate=acc, sol=sol, d=d, t_end=t_end,
             )
             for field in dataclasses.fields(_RunArtifacts):
@@ -122,6 +122,8 @@ def _cli_runs(name: str, out: dict, tmp: Path) -> None:
         "verify": ["--numerics.n_paths=1024", "--numerics.n_steps=32"],
         "frontier": ["--numerics.n_paths=1024", "--numerics.n_steps=32"],
         "simulate-chain": ["--numerics.n_paths=3000"],
+        "solve-odes": [],
+        "optimal-control": [],
     }
     for cmd, size in sizes.items():
         code = cli_main([cmd, str(config), *common, *size])

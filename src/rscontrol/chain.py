@@ -290,16 +290,6 @@ class _ChainSampler:
             times.append(t)
             states.append(i)
 
-    def sample(self, rng: np.random.Generator, state0: int, horizon: float):
-        """Draw (jump_times, jump_states) arrays, 0-based state input/output."""
-        times: list[float] = []
-        states: list[int] = []
-        self.draw(rng, state0, horizon, times, states)
-        return (
-            np.asarray(times, dtype=np.float64),
-            np.asarray(states, dtype=np.int64),
-        )
-
 
 def sample_path(
     gen: GeneratorMatrix,
@@ -319,14 +309,16 @@ def sample_path(
         raise InvalidInitialStateError(f"initial state {initial_state} outside 1..{d}")
     if horizon < 0.0:
         raise NegativeTimeError(f"horizon must be >= 0, got {horizon}")
+    times: list[float] = []
+    states: list[int] = []  # 0-based
     rng = path_stream(seed, path_index, CHAIN_STREAM)
-    sampler = _ChainSampler(gen)
-    times, states0 = sampler.sample(rng, initial_state - 1, horizon)
-    times.flags.writeable = False
-    states = states0 + 1
-    states.flags.writeable = False
+    _ChainSampler(gen).draw(rng, initial_state - 1, horizon, times, states)
+    jump_times = np.asarray(times, dtype=np.float64)
+    jump_states = np.asarray(states, dtype=np.int64) + 1
+    jump_times.flags.writeable = False
+    jump_states.flags.writeable = False
     return ChainPath(
-        initial_state=initial_state, horizon=horizon, jump_times=times, jump_states=states
+        initial_state=initial_state, horizon=horizon, jump_times=jump_times, jump_states=jump_states
     )
 
 
@@ -509,6 +501,14 @@ def _running_sum(total: np.ndarray, values: np.ndarray) -> np.ndarray:
     split into batches; a pairwise ``np.sum`` would round differently.
     """
     return np.add.accumulate(np.concatenate([total[None], values]), axis=0)[-1]
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error (sample std / sqrt(n)) of a sample; the error of one value is 0."""
+    n = values.shape[0]
+    mean = float(np.mean(values))
+    se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return mean, se
 
 
 def _mean_se_of_sums(total, total2, n: int):

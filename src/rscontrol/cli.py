@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +24,7 @@ import numpy as np
 from .chain import (
     GeneratorMatrix,
     _batches,
+    _mean_se,
     _mean_se_of_sums,
     _running_sum,
     transition_matrix,
@@ -41,7 +41,7 @@ from .errors import (
 from .frontier import solve_frontier_point
 from .market import MarketModel, load_market
 from .odes import solve_phi_psi_chi
-from .simulate import _resolve_policies, _run_blocks, simulate_wealth
+from .simulate import _run_blocks, simulate_wealth
 from .verify import run_all_checks
 
 __all__ = ["main"]
@@ -231,17 +231,15 @@ def _cmd_optimal_control(rc: RunConfig) -> int:
 
 def _cmd_evaluate(rc: RunConfig) -> int:
     d = _need_target(rc)
+    sol = solve_phi_psi_chi(rc.model, rc.gen, d, rc.steps_per_cell)
     specs = [optimal_policy(), *standard_perturbations(rc.model.horizon)]
-    compiled, sol = _resolve_policies(rc.model, rc.gen, specs, None, d, rc.steps_per_cell)
     arts = _run_blocks(
-        rc.model, rc.gen, compiled, i0=rc.i0, n_paths=rc.n_paths, n_steps=rc.n_steps,
-        seed=rc.seed, workers=rc.workers,
+        rc.model, rc.gen, specs, i0=rc.i0, n_paths=rc.n_paths, n_steps=rc.n_steps,
+        seed=rc.seed, workers=rc.workers, sol=sol,
     )
     rows = []
     for k, spec in enumerate(specs):
-        payoff = -((arts.x_final[k] - d) ** 2)
-        j_hat = float(np.mean(payoff))
-        se = float(np.std(payoff, ddof=1) / math.sqrt(rc.n_paths))
+        j_hat, se = _mean_se(-((arts.x_final[k] - d) ** 2))
         rows.append([spec.describe(), rc.n_paths, rc.n_steps, rc.seed, j_hat, se])
     _write_csv(
         rc.outdir / "evaluate.csv",

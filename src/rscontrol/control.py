@@ -138,13 +138,14 @@ def table_policy(times, xs, values) -> PolicySpec:
     return PolicySpec(kind="table", table=TableData(times=times, xs=xs, values=values))
 
 
-def standard_perturbations(horizon: float, epsilon: float = 0.1) -> list[PolicySpec]:
+def standard_perturbations(horizon: float) -> list[PolicySpec]:
     """The five reference perturbations of the optimal policy.
 
-    Constant shifts +/- epsilon, proportional scalings x0.5 and x1.5, and a
-    shift by +epsilon on the first half of the horizon.
+    Constant shifts +/- 0.1, proportional scalings x0.5 and x1.5, and a
+    shift by +0.1 on the first half of the horizon.
     """
     base = optimal_policy()
+    epsilon = 0.1
     return [
         shift_policy(base, +epsilon),
         shift_policy(base, -epsilon),
@@ -186,19 +187,15 @@ class CompiledPolicy:
         if self.is_affine:
             c0, c1 = self.coeffs(t)
             return float(c0[i - 1] + c1[i - 1] * x)
-        return float(self._table_eval(t, np.asarray([x]), np.asarray([i - 1]))[0])
+        return float(self.eval_vector(t, np.asarray([x]), np.asarray([i - 1]))[0])
 
     def eval_vector(self, t, x: np.ndarray, reg0: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation at time t; ``reg0`` holds 0-based regime indices.
+        """Table policies only: u at wealths x in 0-based regimes ``reg0``.
 
-        Table policies also take one time per element of x.
+        ``t`` is one time for all elements of x or one time per element.
         """
         if self.is_affine:
-            c0, c1 = self.coeffs(t)
-            return c0[reg0] + c1[reg0] * x
-        return self._table_eval(t, x, reg0)
-
-    def _table_eval(self, t, x: np.ndarray, reg0: np.ndarray) -> np.ndarray:
+            raise ValueError("affine policies are evaluated from coeffs(t)")
         tab = self.spec.table
         ti = np.searchsorted(tab.times, t, side="right") - 1
         ti = np.clip(ti, 0, tab.times.shape[0] - 1)
@@ -232,7 +229,7 @@ def _affine_terms(
     if spec.kind == "optimal":
         phi, psi, _ = sol.interp(t)
         k = model.cell_index(t)
-        slope = -((model.drifts[k] - model.rates[k]) / model.vols[k]) / model.vols[k]
+        slope = -model.theta(k) / model.vols[k]
         return slope * (psi / phi), slope
     if spec.kind == "perturbed":
         c0, c1 = _affine_terms(spec.base, model, sol, t)

@@ -27,7 +27,7 @@ from .control import optimal_policy
 from .errors import DegenerateDualError
 from .market import MarketModel
 from .odes import solve_phi_psi_chi, value_function
-from .simulate import _resolve_policies, _run_blocks
+from .simulate import _run_blocks
 
 __all__ = [
     "FrontierPoint",
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _DEGENERACY_TOL = 1e-12
+_GOLDEN_TOL = 1e-10  # width of the final golden-section bracket
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,9 @@ def solve_frontier_point(
     var_analytic = float(_dual_value(a, (av, bv, cv), lam))
 
     sol = solve_phi_psi_chi(model, gen, d_eff, steps_per_cell)
-    compiled, _ = _resolve_policies(model, gen, [optimal_policy()], sol, d_eff)
     arts = _run_blocks(
-        model, gen, compiled, i0=i0, n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
+        model, gen, [optimal_policy()], i0=i0, n_paths=n_paths, n_steps=n_steps, seed=seed,
+        workers=workers, sol=sol,
     )
     xt = arts.x_final[0]
     mean = float(np.mean(xt))
@@ -155,11 +156,11 @@ def dual_lambda_golden(
     *,
     i0: int = 1,
     steps_per_cell: int = 200,
-    tol: float = 1e-10,
 ) -> float:
     """Golden-section maximizer of the dual quadratic, for cross-validation.
 
-    Searches [-10|a|, 10|a|] (widened to [-10, 10] near a = 0).  Evaluates in
+    Searches [-10|a|, 10|a|] (widened to [-10, 10] near a = 0) until the
+    bracket is narrower than 1e-10 and returns its midpoint.  Evaluates in
     extended precision: near the flat top of a quadratic, float64 evaluation
     plateaus at ~1e-8 argument resolution, which would mask agreement with
     the closed form at tighter tolerances.
@@ -176,7 +177,7 @@ def dual_lambda_golden(
     d = lo + inv_phi * (hi - lo)
     fc = _dual_value(a_ld, coeffs, c)
     fd = _dual_value(a_ld, coeffs, d)
-    while float(hi - lo) > tol:
+    while float(hi - lo) > _GOLDEN_TOL:
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - inv_phi * (hi - lo)

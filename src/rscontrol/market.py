@@ -59,9 +59,15 @@ class MarketModel:
     def num_cells(self) -> int:
         return int(self.breakpoints.shape[0] - 1)
 
-    def theta(self) -> np.ndarray:
-        """Market price of risk table (K, D), computed fresh each call."""
-        return (self.drifts - self.rates) / self.vols
+    def theta(self, k=slice(None)) -> np.ndarray:
+        """Market price of risk (b - r) / sigma on cell k, computed fresh each call.
+
+        The default gives the (K, D) table, an int k one (D,) row and an array
+        of cells one row per cell.  This is the only place the formula is
+        written; its arithmetic is elementwise, so every form gives the
+        entries the same bits.
+        """
+        return (self.drifts[k] - self.rates[k]) / self.vols[k]
 
     def cell_index(self, t):
         """Cell k with t in [t_k, t_{k+1}); the last cell also contains T.
@@ -85,7 +91,7 @@ def coefficients_at(model: MarketModel, t: float, i: int) -> tuple[float, float,
     r = float(model.rates[k, i - 1])
     b = float(model.drifts[k, i - 1])
     sig = float(model.vols[k, i - 1])
-    return r, b, sig, (b - r) / sig
+    return r, b, sig, float(model.theta(k)[i - 1])
 
 
 def make_market(

@@ -121,7 +121,7 @@ def _exponent_rates(model: MarketModel, k) -> tuple[np.ndarray, np.ndarray, np.n
     row per cell.  Every exponent rate in the package is built here.
     """
     r = model.rates[k]
-    th = (model.drifts[k] - model.rates[k]) / model.vols[k]
+    th = model.theta(k)
     th2 = th * th
     return 2.0 * r - th2, r - th2, th2
 

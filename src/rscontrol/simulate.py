@@ -63,13 +63,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import (
-    CHAIN_STREAM,
     NOISE_STREAM,
     ChainPath,
     GeneratorMatrix,
-    _ChainSampler,
+    _mean_se,
     _streams,
     path_stream,
+    sample_path,
     sample_paths,
 )
 from .control import CompiledPolicy, PolicySpec, _needs_solution, compile_policy
@@ -166,8 +166,7 @@ class _SimGrid:
         self.cell_of_seg = np.clip(cells, 0, model.num_cells - 1)
         self.r_seg = model.rates[self.cell_of_seg]  # (S, D)
         self.sig_seg = model.vols[self.cell_of_seg]
-        theta = (model.drifts - model.rates) / model.vols
-        self.th_seg = theta[self.cell_of_seg]
+        self.th_seg = model.theta(self.cell_of_seg)
         self.c2_seg, self.c1_seg, self.th2_seg = _exponent_rates(model, self.cell_of_seg)
 
 
@@ -488,7 +487,6 @@ class _RunContext:
         seed: int,
         accumulate: frozenset,
         sol: PhiPsiChiSolution | None,
-        d: float | None,
         t_end: float | None,
     ):
         self.model = model
@@ -507,7 +505,7 @@ class _RunContext:
         self.val = None
         self.t_end_idx = None
         if self.bsde or self.integ:
-            self.adj = _AdjointTables(gen, d, self.grid)
+            self.adj = _AdjointTables(gen, sol.target, self.grid)
         if self.bsde and policies and policies[0].spec.kind == "optimal":
             # Feed the residual run the same phi/psi representation in the
             # control as in the coefficient rows.  The ODE interpolant is
@@ -526,7 +524,6 @@ class _RunContext:
                 raise ValidationError(f"t_end={t_end} is not a grid node")
             self.t_end_idx = int(idx[0])
             self.val = _ValueTables(gen, self.grid, sol)
-        self.d = d
         self.sol = sol
 
 
@@ -643,7 +640,7 @@ def _process_block(ctx: _RunContext, lo: int, hi: int, arts: _RunArtifacts) -> f
         arts.bsde_sq[lo:hi] = sums[_BSDE_SQ]
         # terminal condition: p_hat(T) vs dh/dx, both affine in X(T)
         p_t = adj.phi[n_seg][alpha_final] * x[0] + adj.psi[n_seg][alpha_final]
-        grad = -2.0 * (x[0] - ctx.d)
+        grad = -2.0 * (x[0] - ctx.sol.target)
         gap = float(np.max(np.abs(p_t - grad)))
     if ctx.dynkin:
         j = ctx.t_end_idx
@@ -703,10 +700,23 @@ def _replay_split(ctx, sub: _SubCells, split, x, xn, u, sums, dyn):
         sums[:, paths] += part[:, paths]
 
 
+def _resolve_policies(model, gen, specs: list[PolicySpec], sol, d):
+    """Compile the specs, solving for target d first if one needs the triple and sol is None."""
+    if any(_needs_solution(sp) for sp in specs):
+        if sol is None:
+            if d is None:
+                raise ValueError("target d is required to solve for the optimal policy")
+            sol = solve_phi_psi_chi(model, gen, d)
+        elif d is not None and float(d) != sol.target:
+            # the policy would be optimal for sol.target, not for the loss at d
+            raise TargetMismatchError(f"solution was solved for target {sol.target}, not d={d}")
+    return [compile_policy(sp, model, sol) for sp in specs], sol
+
+
 def _run_blocks(
     model: MarketModel,
     gen: GeneratorMatrix,
-    policies: list[CompiledPolicy],
+    specs: list[PolicySpec],
     *,
     i0: int,
     n_paths: int,
@@ -718,13 +728,27 @@ def _run_blocks(
     d: float | None = None,
     t_end: float | None = None,
 ) -> _RunArtifacts:
+    """Simulate every policy of ``specs`` on paths 0..n_paths-1, all on the same noise.
+
+    The specs are compiled against ``sol``.  When a spec needs the solved
+    triple and ``sol`` is None, the triple is solved for target ``d``; a
+    ``sol`` solved for another target than ``d`` raises
+    :class:`TargetMismatchError`.  Row k of ``x_final`` belongs to
+    ``specs[k]``.  ``accumulate`` names the per-path sums to keep, which
+    take their rows and the loss target from ``sol``: ``bsde`` (the residual
+    of policy 0), ``dynkin`` (of policy 0, up to the grid node ``t_end``) and
+    ``integrability`` (policy 0 against policy 1).
+    """
     if not (1 <= i0 <= model.num_states):
         raise InvalidInitialStateError(f"initial state {i0} outside 1..{model.num_states}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    policies, sol = _resolve_policies(model, gen, specs, sol, d)
+    if accumulate and sol is None:
+        raise ValueError("the accumulated sums need the solved triple (sol)")
     ctx = _RunContext(
         model, gen, policies, i0=i0, n_steps=n_steps, seed=seed,
-        accumulate=accumulate, sol=sol, d=d, t_end=t_end,
+        accumulate=accumulate, sol=sol, t_end=t_end,
     )
     n_pol = len(policies)
     arts = _RunArtifacts(
@@ -760,18 +784,6 @@ def _run_blocks(
 # ---------------------------------------------------------------------------
 
 
-def _resolve_policies(model, gen, specs: list[PolicySpec], sol, d, steps_per_cell=200):
-    if any(_needs_solution(sp) for sp in specs):
-        if sol is None:
-            if d is None:
-                raise ValueError("target d is required to solve for the optimal policy")
-            sol = solve_phi_psi_chi(model, gen, d, steps_per_cell)
-        elif d is not None and float(d) != sol.target:
-            # the policy would be optimal for sol.target, not for the loss at d
-            raise TargetMismatchError(f"solution was solved for target {sol.target}, not d={d}")
-    return [compile_policy(sp, model, sol) for sp in specs], sol
-
-
 def simulate_wealth(
     model: MarketModel,
     gen: GeneratorMatrix,
@@ -793,11 +805,8 @@ def simulate_wealth(
     pol = _resolve_policies(model, gen, [policy], sol, None)[0][0]
     grid = _SimGrid(model, n_steps)
     c0, c1 = _policy_tables([pol], grid.bounds[:-1])
-    if not (1 <= i0 <= model.num_states):
-        raise InvalidInitialStateError(f"initial state {i0} outside 1..{model.num_states}")
-    rng = path_stream(seed, path_index, CHAIN_STREAM)
-    sampler = _ChainSampler(gen)
-    times, states = sampler.sample(rng, i0 - 1, model.horizon)
+    chain = sample_path(gen, i0, model.horizon, seed, path_index)
+    times, states = chain.jump_times, chain.jump_states - 1  # 0-based states
     seg, inner = _jump_segments(grid.bounds, times)
     interior_seg = np.where(inner, seg, -1)
     n_draws = grid.n_seg + int(np.count_nonzero(inner))
@@ -835,7 +844,7 @@ def simulate_wealth(
             dwc = float(z[zc]) * math.sqrt(dtc)
             r_c = float(model.rates[cell_k, st])
             sg_c = float(model.vols[cell_k, st])
-            th_c = (float(model.drifts[cell_k, st]) - r_c) / sg_c
+            th_c = float(model.theta(cell_k)[st])
             if pol.is_affine and ca == t0:
                 u_c = float(c0[s, 0, st] + c1[s, 0, st] * x)
             else:
@@ -846,7 +855,6 @@ def simulate_wealth(
             controls.append(u_c)
             incrs.append(dwc)
             regs.append(st + 1)
-    chain = ChainPath(initial_state=i0, horizon=model.horizon, jump_times=times, jump_states=states + 1)
     return WealthPath(
         times=np.asarray(cell_times),
         wealth=np.asarray(wealth),
@@ -874,13 +882,11 @@ def estimate_J(
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
     t_start = time.perf_counter()
-    compiled, _ = _resolve_policies(model, gen, [policy], sol, d)
     arts = _run_blocks(
-        model, gen, compiled, i0=i0, n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
+        model, gen, [policy], i0=i0, n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
+        sol=sol, d=d,
     )
-    payoff = -((arts.x_final[0] - d) ** 2)
-    mean = float(np.mean(payoff))
-    se = float(np.std(payoff, ddof=1) / math.sqrt(n_paths))
+    mean, se = _mean_se(-((arts.x_final[0] - d) ** 2))
     return McEstimate(
         mean=mean, std_error=se, n_paths=n_paths, seed=seed,
         elapsed=time.perf_counter() - t_start,
@@ -910,23 +916,15 @@ def compare_policies(
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
     t_start = time.perf_counter()
-    compiled, _ = _resolve_policies(model, gen, [base, *alternatives], sol, d)
     arts = _run_blocks(
-        model, gen, compiled, i0=i0, n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
+        model, gen, [base, *alternatives], i0=i0, n_paths=n_paths, n_steps=n_steps, seed=seed,
+        workers=workers, sol=sol, d=d,
     )
     payoff_base = -((arts.x_final[0] - d) ** 2)
     out = []
     elapsed = time.perf_counter() - t_start
     for k in range(len(alternatives)):
         payoff_alt = -((arts.x_final[k + 1] - d) ** 2)
-        diff = payoff_base - payoff_alt
-        out.append(
-            McEstimate(
-                mean=float(np.mean(diff)),
-                std_error=float(np.std(diff, ddof=1) / math.sqrt(n_paths)),
-                n_paths=n_paths,
-                seed=seed,
-                elapsed=elapsed,
-            )
-        )
+        mean, se = _mean_se(payoff_base - payoff_alt)
+        out.append(McEstimate(mean=mean, std_error=se, n_paths=n_paths, seed=seed, elapsed=elapsed))
     return out

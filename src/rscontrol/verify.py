@@ -20,12 +20,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import GeneratorMatrix, _batches, _mean_se_of_sums, _running_sum, path_integrals
+from .chain import (
+    GeneratorMatrix,
+    _batches,
+    _mean_se,
+    _mean_se_of_sums,
+    _running_sum,
+    path_integrals,
+)
 from .control import optimal_policy, shift_policy
 from .errors import BadIntervalError, StateOutOfRangeError, TimeOutOfRangeError
 from .market import MarketModel, coefficients_at
 from .odes import PhiPsiChiSolution, _exponent_rates, solve_phi_psi_chi, value_function
-from .simulate import _resolve_policies, _run_blocks
+from .simulate import _run_blocks
 
 __all__ = [
     "CheckReport",
@@ -40,6 +47,9 @@ __all__ = [
 ]
 
 _HUGE = 1e300  # finite sentinel for "detection failed" in inverted checks
+_HAMILTONIAN_GRID = (50, 21)  # (t, x) points of check_hamiltonian_maximum
+_DP_GRID = (10, 7)  # (t, x) points of check_dp_connection
+_ORDER_PATHS = 2_000  # most paths of each run of the residual-order check
 
 
 @dataclass(frozen=True)
@@ -57,13 +67,6 @@ def _mk(check_name: str, statistic: float, threshold: float, detail: str = "") -
     return CheckReport(check_name, statistic, threshold, statistic <= threshold, detail)
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    n = values.shape[0]
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return mean, se
-
-
 # ---------------------------------------------------------------------------
 # deterministic identity checks
 # ---------------------------------------------------------------------------
@@ -78,13 +81,12 @@ def check_hamiltonian_maximum(
     sol: PhiPsiChiSolution,
     model: MarketModel,
     *,
-    t_points: int = 50,
-    x_points: int = 21,
     policy_sol: PhiPsiChiSolution | None = None,
 ) -> CheckReport:
     """First-order optimality: the control coefficient of H vanishes at the
     candidate optimum, i.e. max over a (t, x, i) grid of
-    |phi*sigma*u_hat + theta*(phi*x + psi)|.
+    |phi*sigma*u_hat + theta*(phi*x + psi)|.  The grid has 50 times on
+    [0, T] and 21 wealths on [x0 - 0.5, x0 + 0.5].
 
     ``policy_sol`` lets the candidate control be computed from a different
     solution than the one supplying (phi, psi); the suite's corrupted-psi
@@ -92,6 +94,7 @@ def check_hamiltonian_maximum(
     """
     if policy_sol is None:
         policy_sol = sol
+    t_points, x_points = _HAMILTONIAN_GRID
     xs = _default_x_grid(model, x_points)
     worst = 0.0
     worst_at = (0.0, 1)
@@ -116,18 +119,17 @@ def check_hamiltonian_maximum(
 def check_dp_connection(
     sol: PhiPsiChiSolution,
     model: MarketModel,
-    *,
-    t_points: int = 10,
-    x_points: int = 7,
 ) -> list[CheckReport]:
     """Identities tying the adjoint triple to the value function.
 
     (a) p_hat equals V_x = phi*x + psi; (b) q_hat equals (sigma*u_hat)*V_xx
     with V_xx = phi; (c) eta_hat_ij equals V_x(t,x,j) - V_x(t,x,i); plus a
-    central-difference cross-check of V_x against value_function.
+    central-difference cross-check of V_x against value_function.  The grid
+    has 10 times on [0, T] and 7 wealths on [x0 - 0.5, x0 + 0.5].
     """
     from .control import adjoint_closed_form, optimal_control
 
+    t_points, x_points = _DP_GRID
     xs = _default_x_grid(model, x_points)
     d_states = model.num_states
     stat_p = stat_q = stat_eta = stat_fd = 0.0
@@ -173,7 +175,6 @@ def check_adjoint_bsde(
     *,
     i0: int = 1,
     workers: int = 1,
-    order_paths: int | None = None,
 ) -> list[CheckReport]:
     """Discrete residual of the adjoint backward equation along the optimum.
 
@@ -182,14 +183,11 @@ def check_adjoint_bsde(
     cell so that the summed residual is an unbiased martingale sum up to
     O(dt^2).  Reports: (a) terminal condition p_hat(T) vs -2(X(T)-d),
     (b) mean of per-path summed residuals vs 0, (c) per-cell RMS residual
-    decay when the step count doubles.
+    decay when the step count doubles, on the first min(n_paths, 2000)
+    paths.
     """
-    d = sol.target
-    compiled, _ = _resolve_policies(model, gen, [optimal_policy()], sol, d)
-    arts = _run_blocks(
-        model, gen, compiled, i0=i0, n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
-        accumulate=frozenset({"bsde"}), sol=sol, d=d,
-    )
+    run = dict(i0=i0, seed=seed, workers=workers, accumulate=frozenset({"bsde"}), sol=sol)
+    arts = _run_blocks(model, gen, [optimal_policy()], n_paths=n_paths, n_steps=n_steps, **run)
     mean, se = _mean_se(arts.bsde_sum)
     reports = [
         _mk(
@@ -205,13 +203,10 @@ def check_adjoint_bsde(
             f"mean {mean:.3e}, se {se:.3e}, {n_paths} paths x {n_steps} steps",
         ),
     ]
-    n_ord = order_paths if order_paths is not None else min(n_paths, 2_000)
+    n_ord = min(n_paths, _ORDER_PATHS)
     rms = []
     for steps in (n_steps, 2 * n_steps):
-        a = _run_blocks(
-            model, gen, compiled, i0=i0, n_paths=n_ord, n_steps=steps, seed=seed, workers=workers,
-            accumulate=frozenset({"bsde"}), sol=sol, d=d,
-        )
+        a = _run_blocks(model, gen, [optimal_policy()], n_paths=n_ord, n_steps=steps, **run)
         rms.append(math.sqrt(float(np.mean(a.bsde_sq)) / a.n_segments))
     ratio = rms[1] / rms[0] if rms[0] > 0.0 else 0.0
     reports.append(
@@ -366,11 +361,9 @@ def check_dynkin(
     Under the optimal control Gamma V vanishes identically, so both sides
     are near zero; the check compares them pathwise for a paired estimate.
     """
-    d = sol.target
-    compiled, _ = _resolve_policies(model, gen, [optimal_policy()], sol, d)
     arts = _run_blocks(
-        model, gen, compiled, i0=i0, n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
-        accumulate=frozenset({"dynkin"}), sol=sol, d=d, t_end=t_end,
+        model, gen, [optimal_policy()], i0=i0, n_paths=n_paths, n_steps=n_steps, seed=seed,
+        workers=workers, accumulate=frozenset({"dynkin"}), sol=sol, t_end=t_end,
     )
     v0 = value_function(sol, 0.0, model.initial_wealth, i0)
     diff = arts.dynkin_vend - v0 - arts.dynkin_int
@@ -408,12 +401,9 @@ def check_integrability(
     """
     if perturbation is None:
         perturbation = shift_policy(optimal_policy(), 0.1)
-    if sol is None:
-        sol = solve_phi_psi_chi(model, gen, d)
-    compiled, _ = _resolve_policies(model, gen, [optimal_policy(), perturbation], sol, d)
     arts = _run_blocks(
-        model, gen, compiled, i0=i0, n_paths=n_paths, n_steps=n_steps, seed=seed, workers=workers,
-        accumulate=frozenset({"integrability"}), sol=sol, d=d,
+        model, gen, [optimal_policy(), perturbation], i0=i0, n_paths=n_paths, n_steps=n_steps,
+        seed=seed, workers=workers, accumulate=frozenset({"integrability"}), sol=sol, d=d,
     )
     names = ("integrability_sigma_term", "integrability_q_term", "integrability_eta_term")
     half = max(n_paths // 2, 1)
@@ -472,10 +462,9 @@ def run_all_checks(
     steps_per_cell: int = 200,
     seed: int = 0,
     workers: int = 1,
-    with_negative_controls: bool = True,
     sol: PhiPsiChiSolution | None = None,
 ) -> list[CheckReport]:
-    """Run the complete verification suite and return all reports.
+    """Run the complete verification suite, negative controls included, and return all reports.
 
     Sub-checks draw from fixed seed offsets so the whole suite is
     reproducible from the single master seed.
@@ -504,27 +493,26 @@ def run_all_checks(
             model, gen, d, n_paths, n_steps, seed + 53, i0=i0, sol=sol, workers=workers
         )
     )
-    if with_negative_controls:
-        psi_c = sol.psi.copy()
-        psi_c[:, 0] = psi_c[:, 0] + 0.01
-        sol_c = replace(sol, psi=psi_c)
-        inner = check_hamiltonian_maximum(sol, model, policy_sol=sol_c)
-        reports.append(
-            _invert(
-                "negative_control_corrupted_psi",
-                inner,
-                "psi shifted by 0.01 in regime 1 for the candidate control",
-            )
+    psi_c = sol.psi.copy()
+    psi_c[:, 0] = psi_c[:, 0] + 0.01
+    sol_c = replace(sol, psi=psi_c)
+    inner = check_hamiltonian_maximum(sol, model, policy_sol=sol_c)
+    reports.append(
+        _invert(
+            "negative_control_corrupted_psi",
+            inner,
+            "psi shifted by 0.01 in regime 1 for the candidate control",
         )
-        n_rev = min(n_paths, 20_000)
-        rev = check_rs_martingales(
-            sol, model, gen, n_rev, seed + 61, i0=i0, reverse_time=True
+    )
+    n_rev = min(n_paths, 20_000)
+    rev = check_rs_martingales(
+        sol, model, gen, n_rev, seed + 61, i0=i0, reverse_time=True
+    )
+    reports.append(
+        _invert(
+            "negative_control_time_reversed_R",
+            rev[0],
+            "R evaluated with the exponential over [t,T]",
         )
-        reports.append(
-            _invert(
-                "negative_control_time_reversed_R",
-                rev[0],
-                "R evaluated with the exponential over [t,T]",
-            )
-        )
+    )
     return reports

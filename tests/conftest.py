@@ -7,6 +7,13 @@ sigma=(0.3,0.3), G=[[-1,1],[2,-2]], T=1, x0=1) with target d=1.2 and the
 chain started in regime 1.
 """
 
+import os
+
+# Single-threaded BLAS, set before NumPy is first imported: a threaded
+# OpenBLAS pool waking up after idle puts its cost inside the wall-clock
+# budget of criterion 1, whose timed loop is many tiny 2x2 expm calls.
+os.environ.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+
 import json
 from pathlib import Path
 

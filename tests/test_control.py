@@ -202,6 +202,10 @@ def test_table_policy_interpolation(tworeg_market):
     assert pol(0.7, 0.5, 1) == pytest.approx(5.5)  # step in t
     with pytest.raises(ValueError):
         pol.coeffs(0.0)
+    # and the reverse: the vector evaluator serves table policies only
+    affine = compile_policy(constant_policy(0.1), tworeg_market, None)
+    with pytest.raises(ValueError):
+        affine.eval_vector(0.0, np.zeros(2), np.zeros(2, dtype=np.int64))
 
 
 def test_table_policy_shape_validation():

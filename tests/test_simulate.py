@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rscontrol import (
+    InvalidInitialStateError,
     NonFiniteSolutionError,
     TargetMismatchError,
     compare_policies,
@@ -28,7 +29,7 @@ from rscontrol import (
     window_shift_policy,
 )
 from rscontrol import simulate
-from rscontrol.simulate import _run_blocks, _resolve_policies
+from rscontrol.simulate import _run_blocks
 
 FAST_D = 1.1
 
@@ -158,6 +159,23 @@ def test_estimate_j_requires_two_paths(tworeg_market, tworeg_gen):
         estimate_J(tworeg_market, tworeg_gen, constant_policy(0.0), 1.2, 1, 16, seed=0)
 
 
+def test_bad_initial_state_is_rejected(tworeg_market, tworeg_gen):
+    # the single-path simulator takes its chain, and this check, from sample_path
+    with pytest.raises(InvalidInitialStateError):
+        simulate_wealth(tworeg_market, tworeg_gen, constant_policy(0.1), None, 1.0, 8, 0, i0=3)
+    with pytest.raises(InvalidInitialStateError):
+        estimate_J(tworeg_market, tworeg_gen, constant_policy(0.1), 1.2, 8, 8, 0, i0=0)
+
+
+def test_accumulated_sums_need_a_solution(tworeg_market, tworeg_gen):
+    # the accumulators read their rows and the loss target from sol
+    with pytest.raises(ValueError, match="sol"):
+        _run_blocks(
+            tworeg_market, tworeg_gen, [constant_policy(0.1)], i0=1, n_paths=4, n_steps=4,
+            seed=0, accumulate=frozenset({"bsde"}), d=1.2,
+        )
+
+
 def test_estimate_j_reproducible_across_workers(tworeg_market, tworeg_gen, tworeg_sol):
     kw = dict(i0=1, sol=tworeg_sol)
     a = estimate_J(tworeg_market, tworeg_gen, optimal_policy(), 1.2, 4096, 256, 5, **kw)
@@ -174,11 +192,9 @@ def test_estimate_j_reproducible_across_workers(tworeg_market, tworeg_gen, twore
 
 
 def test_engine_paths_match_single_path_simulator(tworeg_market, tworeg_gen, tworeg_sol):
-    compiled, _ = _resolve_policies(
-        tworeg_market, tworeg_gen, [optimal_policy()], tworeg_sol, 1.2
-    )
     arts = _run_blocks(
-        tworeg_market, tworeg_gen, compiled, i0=1, n_paths=128, n_steps=256, seed=13,
+        tworeg_market, tworeg_gen, [optimal_policy()], i0=1, n_paths=128, n_steps=256, seed=13,
+        sol=tworeg_sol, d=1.2,
     )
     for k in (0, 1, 63, 127):
         wp = simulate_wealth(
@@ -212,9 +228,9 @@ def test_engine_paths_match_single_path_simulator_under_fast_switching(
         "table_middle": [*affine[:2], table, *affine[2:]],
         "table_only": [table],
     }[order]
-    compiled, _ = _resolve_policies(fast_market, fast_gen, specs, fast_sol, FAST_D)
     arts = _run_blocks(
-        fast_market, fast_gen, compiled, i0=2, n_paths=48, n_steps=n_steps, seed=seed,
+        fast_market, fast_gen, specs, i0=2, n_paths=48, n_steps=n_steps, seed=seed,
+        sol=fast_sol, d=FAST_D,
     )
     nodes = np.linspace(0.0, 1.0, n_steps + 1)
     jump_bounded = 0  # sub-cells opened and closed by jumps inside one segment
@@ -248,9 +264,8 @@ def test_dynkin_accumulator_matches_per_cell_sum(fast_market, fast_gen, fast_sol
     # single-path trajectory; a constant control keeps Gamma V away from 0
     n_steps, seed = 16, 7
     spec = constant_policy(0.3)
-    compiled, _ = _resolve_policies(fast_market, fast_gen, [spec], fast_sol, FAST_D)
     arts = _run_blocks(
-        fast_market, fast_gen, compiled, i0=3, n_paths=12, n_steps=n_steps,
+        fast_market, fast_gen, [spec], i0=3, n_paths=12, n_steps=n_steps,
         seed=seed, accumulate=frozenset({"dynkin"}), sol=fast_sol, d=FAST_D, t_end=1.0,
     )
     g = fast_gen.rates
@@ -288,9 +303,8 @@ def test_integrability_accumulator_matches_per_cell_sum(fast_market, fast_gen, f
     # cancellation (relative gaps up to ~5e-13 on these paths).
     n_steps, seed = 16, 5
     specs = [optimal_policy(), shift_policy(optimal_policy(), 0.1)]
-    compiled, _ = _resolve_policies(fast_market, fast_gen, specs, fast_sol, FAST_D)
     arts = _run_blocks(
-        fast_market, fast_gen, compiled, i0=2, n_paths=12, n_steps=n_steps,
+        fast_market, fast_gen, specs, i0=2, n_paths=12, n_steps=n_steps,
         seed=seed, accumulate=frozenset({"integrability"}), sol=fast_sol, d=FAST_D,
     )
     g = fast_gen.rates
@@ -338,17 +352,14 @@ def test_integrability_accumulator_matches_per_cell_sum(fast_market, fast_gen, f
 def test_paths_depend_only_on_seed_and_index(
     fast_market, fast_gen, fast_sol, seed, n_paths, workers, block
 ):
-    compiled, _ = _resolve_policies(
-        fast_market, fast_gen, [optimal_policy(), shift_policy(optimal_policy(), 0.1)],
-        fast_sol, FAST_D,
-    )
+    specs = [optimal_policy(), shift_policy(optimal_policy(), 0.1)]
     kw = dict(
         i0=1, n_steps=8, seed=seed, sol=fast_sol, d=FAST_D, t_end=0.5,
         accumulate=frozenset({"bsde", "dynkin", "integrability"}),
     )
-    ref = _run_blocks(fast_market, fast_gen, compiled, n_paths=n_paths + 5, **kw)
+    ref = _run_blocks(fast_market, fast_gen, specs, n_paths=n_paths + 5, **kw)
     with mock.patch.object(simulate, "_BLOCK", block):
-        run = _run_blocks(fast_market, fast_gen, compiled, n_paths=n_paths, workers=workers, **kw)
+        run = _run_blocks(fast_market, fast_gen, specs, n_paths=n_paths, workers=workers, **kw)
     for name in ("x_final", "integ"):
         assert np.array_equal(getattr(run, name), getattr(ref, name)[:, :n_paths]), name
     for name in ("alpha_final", "n_jumps", "bsde_sum", "bsde_sq", "dynkin_int", "dynkin_vend"):

@@ -205,6 +205,17 @@ def test_integrability_trivial_when_comparison_equals_optimum(
         assert "identically zero" in r.detail
 
 
+def test_integrability_solves_for_d_without_a_solution(tworeg_market, tworeg_gen, tworeg_sol):
+    # tworeg_sol is the triple for d = 1.2 at the default steps per cell
+    args = (tworeg_market, tworeg_gen, 1.2, 512, 32)
+    solved = check_integrability(*args, seed=4, sol=None)
+    given = check_integrability(*args, seed=4, sol=tworeg_sol)
+    assert [(r.statistic, r.threshold, r.detail) for r in solved] == [
+        (r.statistic, r.threshold, r.detail) for r in given
+    ]
+    assert all(r.statistic > 0.0 for r in given)  # a real comparison, not the trivial case
+
+
 def test_run_all_checks_validates_initial_state(tworeg_market, tworeg_gen, tworeg_sol):
     from rscontrol import StateOutOfRangeError
 
